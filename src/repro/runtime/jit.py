@@ -64,7 +64,7 @@ from .bytecode import (
     _srem,
     BytecodeFunction,
 )
-from .memory import Buffer, Pointer
+from .memory import STORE_RANGE_MSG, Buffer, Pointer
 from .profile import GLOBAL_CODE_CACHE, HotnessTracker, jit_fingerprint
 from .vm import _BUDGET_MSG, VirtualMachine
 
@@ -263,15 +263,18 @@ class _Specializer:
             self.names[slot] = _literal_token(value)
         self.global_slots = {slot: gname
                              for slot, gname in bc.global_consts}
-        # Slots whose pointee array is stable for the whole frame (args,
-        # globals, alloca results): memory ops through them read a cached
-        # ``d<slot>`` flat array instead of ``r.buffer.data``.
+        # Slots whose pointee buffer is stable for the whole frame (args,
+        # globals, alloca results): scalar memory ops through them index a
+        # cached ``m<slot>`` memoryview instead of ``r.buffer.mv``, and
+        # kernels a cached ``d<slot>`` flat array instead of
+        # ``r.buffer.data``.
         self.stable = set(bc.arg_slots) | set(self.global_slots)
         self.arg_base = set(bc.arg_slots)
         for inst in bc.code:
             if inst[0] == OP_ALLOCA:
                 self.stable.add(inst[1])
-        self.used_bases: set[int] = set()
+        self.used_bases: set[int] = set()   # slots needing d<slot>
+        self.used_views: set[int] = set()   # slots needing m<slot>
         self.uses_rand = any(inst[0] == OP_RAND for inst in bc.code)
         self.atypes = {}
         for inst in bc.code:
@@ -288,18 +291,25 @@ class _Specializer:
         self.plans = build_loop_plans(self)
 
     # -- small emission helpers --------------------------------------------
-    def _use_base(self, slot: int) -> None:
-        self.used_bases.add(slot)
+    def _base_tok(self, p: int, prefix: str, attr: str,
+                  used: set) -> tuple[str, str]:
+        if p in self.stable:
+            used.add(p)
+            if p in self.arg_base:
+                return f"{prefix}{p}", f"o{p}"
+            return f"{prefix}{p}", ""
+        t = self.names[p]
+        return f"{t}.buffer.{attr}", f"{t}.offset"
 
     def _data_tok(self, p: int) -> tuple[str, str]:
-        """(flat-array text, base-offset text) for pointer slot ``p``."""
-        if p in self.stable:
-            self._use_base(p)
-            if p in self.arg_base:
-                return f"d{p}", f"o{p}"
-            return f"d{p}", ""
-        t = self.names[p]
-        return f"{t}.buffer.data", f"{t}.offset"
+        """(flat-array text, base-offset text) for pointer slot ``p``:
+        what numpy kernels index."""
+        return self._base_tok(p, "d", "data", self.used_bases)
+
+    def _mv_tok(self, p: int) -> tuple[str, str]:
+        """(memoryview text, base-offset text) for pointer slot ``p``:
+        what scalar loads and stores index."""
+        return self._base_tok(p, "m", "mv", self.used_views)
 
     def _addr(self, base_off: str, pairs, add: int) -> str:
         parts = [base_off] if base_off else []
@@ -405,17 +415,21 @@ class _Specializer:
             pre.append((2, f"r{slot} = args[{i}]"))
         for slot, gname in sorted(self.global_slots.items()):
             pre.append((2, f"r{slot} = Pointer(vm_globals[{gname!r}], 0)"))
-        for slot in sorted(self.used_bases):
+        for slot in sorted(self.used_bases | self.used_views):
             if slot in self.global_slots:
-                pre.append((2, f"d{slot} = r{slot}.buffer.data"))
+                guard = ""
             elif slot in self.arg_base:
                 # Null-tolerant: a pointer arg may be None on paths that
                 # never dereference it; fault only at an actual access.
-                pre.append((2, f"d{slot} = r{slot}.buffer.data "
-                              f"if r{slot} is not None else None"))
+                guard = f" if r{slot} is not None else None"
                 pre.append((2, f"o{slot} = r{slot}.offset "
                               f"if r{slot} is not None else 0"))
-            # alloca bases bind d<slot> at their OP_ALLOCA site
+            else:
+                continue  # alloca bases bind at their OP_ALLOCA site
+            if slot in self.used_bases:
+                pre.append((2, f"d{slot} = r{slot}.buffer.data{guard}"))
+            if slot in self.used_views:
+                pre.append((2, f"m{slot} = r{slot}.buffer.mv{guard}"))
         uninit = [s for s in range(bc.n_regs)
                   if self.names[s] == f"r{s}"
                   and s not in self.arg_base and s not in self.global_slots]
@@ -433,6 +447,13 @@ class _Specializer:
             (2, "raise"),
             (1, "except (IndexError, AttributeError) as exc:"),
             (2, f"raise InterpreterError('memory access fault in @{name}: '"
+                " + str(exc)) from None"),
+            # Only a memoryview store raises a ValueError worded so; one
+            # from inside a handler propagates unchanged, as in the VM.
+            (1, "except ValueError as exc:"),
+            (2, "if not str(exc).startswith('memoryview:'):"),
+            (3, "raise"),
+            (2, f"raise InterpreterError('{STORE_RANGE_MSG} in @{name}: '"
                 " + str(exc)) from None"),
             (1, "finally:"),
             (2, "if steps > vm.steps:"),
@@ -514,29 +535,29 @@ class _Specializer:
             emit((depth, f"r{inst[1]} = "
                   f"{self._bin_expr(inst[4], names[inst[2]], names[inst[3]])}"))
         elif op == OP_LOADIDX:
-            d, off = self._data_tok(inst[2])
+            m, off = self._mv_tok(inst[2])
             addr = self._addr(off, ((inst[3], inst[4]),), inst[5])
-            emit((depth, f"r{inst[1]} = {d}[{addr}].item()"))
+            emit((depth, f"r{inst[1]} = {m}[{addr}]"))
         elif op == OP_STOREIDX:
-            d, off = self._data_tok(inst[2])
+            m, off = self._mv_tok(inst[2])
             addr = self._addr(off, ((inst[3], inst[4]),), inst[5])
-            emit((depth, f"{d}[{addr}] = {names[inst[1]]}"))
+            emit((depth, f"{m}[{addr}] = {names[inst[1]]}"))
         elif op == OP_LOADN:
-            d, off = self._data_tok(inst[2])
+            m, off = self._mv_tok(inst[2])
             addr = self._addr(off, inst[3], inst[4])
-            emit((depth, f"r{inst[1]} = {d}[{addr}].item()"))
+            emit((depth, f"r{inst[1]} = {m}[{addr}]"))
         elif op == OP_STOREN:
-            d, off = self._data_tok(inst[2])
+            m, off = self._mv_tok(inst[2])
             addr = self._addr(off, inst[3], inst[4])
-            emit((depth, f"{d}[{addr}] = {names[inst[1]]}"))
+            emit((depth, f"{m}[{addr}] = {names[inst[1]]}"))
         elif op == OP_LOAD:
-            d, off = self._data_tok(inst[2])
+            m, off = self._mv_tok(inst[2])
             addr = off or "0"
-            emit((depth, f"r{inst[1]} = {d}[{addr}].item()"))
+            emit((depth, f"r{inst[1]} = {m}[{addr}]"))
         elif op == OP_STORE:
-            d, off = self._data_tok(inst[2])
+            m, off = self._mv_tok(inst[2])
             addr = off or "0"
-            emit((depth, f"{d}[{addr}] = {names[inst[1]]}"))
+            emit((depth, f"{m}[{addr}] = {names[inst[1]]}"))
         elif op == OP_GEP:
             p = inst[2]
             base = names[p]
@@ -580,10 +601,12 @@ class _Specializer:
                   f"_ab = Buffer.for_type({aname!r}, ATYPES[{k}])"))
             emit((depth + 1, f"allocas[{k}] = _ab"))
             emit((depth, f"r{inst[1]} = Pointer(_ab, 0)"))
-            # Bind the stable-base array cache here, unconditionally: any
-            # later block or kernel may consult d<slot>.
+            # Bind the stable-base caches here, unconditionally: any
+            # later block or kernel may consult d<slot> or m<slot>.
             emit((depth, f"d{inst[1]} = _ab.data"))
+            emit((depth, f"m{inst[1]} = _ab.mv"))
             self.used_bases.discard(inst[1])
+            self.used_views.discard(inst[1])
         elif op == OP_CALL_API:
             cn, slots = inst[2], inst[3]
             emit((depth, "if vm.api_runtime is None:"))

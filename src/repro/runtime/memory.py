@@ -4,6 +4,23 @@ Every allocated object (global array, array alloca, or externally supplied
 numpy array) is a :class:`Buffer` over one scalar element type. Pointers
 are (buffer, offset) pairs with offsets measured in scalar elements; GEP
 arithmetic uses the static type layout to convert indices to offsets.
+
+A buffer's memory has two views, both made once at construction:
+
+* ``data``, a flat numpy array, serves API handlers (:meth:`Pointer.view`)
+  and the JIT's numpy kernels;
+* ``mv``, a typed ``memoryview`` of the same array, serves every scalar
+  load and store in all three execution tiers. Indexing it returns a
+  native Python ``int``/``float``/``bool`` directly, the same value and
+  bits numpy's ``item`` method gives, without boxing a numpy scalar
+  first.
+
+``data`` is never rebound: bulk writes (``bind_global``, a guarded
+dispatch's rollback) assign into it in place, so ``mv`` always sees them.
+A scalar store of a value the element type cannot hold (an integer past
+its width) raises :class:`~repro.errors.InterpreterError` with the
+prefix ``"out-of-range store"`` in every tier. Negative offsets wrap
+through ``mv`` exactly as they do through ``data``.
 """
 
 from __future__ import annotations
@@ -52,14 +69,20 @@ def dtype_of(ty: IRType) -> np.dtype:
     return np.dtype(_DTYPES[(key[0], key[1])])
 
 
-class Buffer:
-    """A flat scalar array with an element width in bytes."""
+#: Prefix of the error every tier raises for an unrepresentable store.
+STORE_RANGE_MSG = "out-of-range store"
 
-    __slots__ = ("name", "data", "element_bits")
+
+class Buffer:
+    """A flat scalar array with an element width in bytes, plus a typed
+    ``memoryview`` of it for scalar access (see the module docstring)."""
+
+    __slots__ = ("name", "data", "mv", "element_bits")
 
     def __init__(self, name: str, data: np.ndarray, element_bits: int):
         self.name = name
         self.data = data
+        self.mv = memoryview(data)
         self.element_bits = element_bits
 
     @classmethod
@@ -71,7 +94,20 @@ class Buffer:
 
     @classmethod
     def from_numpy(cls, name: str, array: np.ndarray) -> "Buffer":
+        """Bind an external array (aliased when it is already contiguous
+        and native-endian). Non-native byte order is converted to native
+        here; a dtype a memoryview cannot index (``float16``, complex,
+        datetime, object, ...) is refused up front instead of faulting at
+        the first scalar access mid-run."""
         flat = np.ascontiguousarray(array).reshape(-1)
+        if not flat.dtype.isnative:
+            flat = flat.astype(flat.dtype.newbyteorder("="))
+        try:
+            memoryview(np.zeros(1, flat.dtype))[0]
+        except (NotImplementedError, ValueError):
+            raise InterpreterError(
+                f"cannot bind {name}: dtype {flat.dtype} has no native "
+                "scalar access") from None
         return cls(name, flat, flat.dtype.itemsize * 8)
 
     @property
@@ -111,7 +147,7 @@ class Pointer:
 
     def load(self):
         try:
-            return self.buffer.data[self.offset].item()
+            return self.buffer.mv[self.offset]
         except IndexError:
             raise InterpreterError(
                 f"out-of-bounds load at {self.buffer.name}[{self.offset}]"
@@ -119,11 +155,15 @@ class Pointer:
 
     def store(self, value) -> None:
         try:
-            self.buffer.data[self.offset] = value
+            self.buffer.mv[self.offset] = value
         except IndexError:
             raise InterpreterError(
                 f"out-of-bounds store at {self.buffer.name}[{self.offset}]"
             ) from None
+        except ValueError as exc:
+            raise InterpreterError(
+                f"{STORE_RANGE_MSG} at {self.buffer.name}[{self.offset}]: "
+                f"{exc}") from None
 
     def view(self, length: int | None = None) -> np.ndarray:
         """A numpy view starting at this pointer (for API backends)."""

@@ -43,7 +43,7 @@ from .bytecode import (
     compile_function,
 )
 from .interpreter import LCG, Profile, _flatten
-from .memory import Buffer, Pointer
+from .memory import STORE_RANGE_MSG, Buffer, Pointer
 
 _MEMORY_OPS = frozenset((OP_LOADIDX, OP_STOREIDX, OP_GEP, OP_LOAD, OP_STORE,
                          OP_LOADN, OP_STOREN))
@@ -199,12 +199,12 @@ class VirtualMachine:
                     pc += 1
                 elif op == OP_LOADIDX:
                     p = regs[inst[2]]
-                    regs[inst[1]] = p.buffer.data[
-                        p.offset + regs[inst[3]] * inst[4] + inst[5]].item()
+                    regs[inst[1]] = p.buffer.mv[
+                        p.offset + regs[inst[3]] * inst[4] + inst[5]]
                     pc += 1
                 elif op == OP_STOREIDX:
                     p = regs[inst[2]]
-                    p.buffer.data[
+                    p.buffer.mv[
                         p.offset + regs[inst[3]] * inst[4] + inst[5]
                     ] = regs[inst[1]]
                     pc += 1
@@ -235,11 +235,11 @@ class VirtualMachine:
                     pc += 1
                 elif op == OP_LOAD:
                     p = regs[inst[2]]
-                    regs[inst[1]] = p.buffer.data[p.offset].item()
+                    regs[inst[1]] = p.buffer.mv[p.offset]
                     pc += 1
                 elif op == OP_STORE:
                     p = regs[inst[2]]
-                    p.buffer.data[p.offset] = regs[inst[1]]
+                    p.buffer.mv[p.offset] = regs[inst[1]]
                     pc += 1
                 elif op == OP_SELECT:
                     regs[inst[1]] = regs[inst[3]] if regs[inst[2]] \
@@ -266,14 +266,14 @@ class VirtualMachine:
                     offset = p.offset + inst[4]
                     for s, scale in inst[3]:
                         offset += regs[s] * scale
-                    regs[inst[1]] = p.buffer.data[offset].item()
+                    regs[inst[1]] = p.buffer.mv[offset]
                     pc += 1
                 elif op == OP_STOREN:
                     p = regs[inst[2]]
                     offset = p.offset + inst[4]
                     for s, scale in inst[3]:
                         offset += regs[s] * scale
-                    p.buffer.data[offset] = regs[inst[1]]
+                    p.buffer.mv[offset] = regs[inst[1]]
                     pc += 1
                 elif op == OP_RAND:
                     if inst[1] >= 0:
@@ -305,11 +305,15 @@ class VirtualMachine:
                     pc += 1
                 else:  # OP_UNREACHABLE
                     raise InterpreterError("reached unreachable")
-        except (IndexError, AttributeError) as exc:
+        except (IndexError, AttributeError, ValueError) as exc:
             # Only translate faults raised by our own memory ops; anything
             # thrown inside a call handler propagates unchanged, as it does
-            # in the reference engine.
+            # in the reference engine. A ValueError there is a scalar store
+            # the element type cannot hold.
             if code[pc][0] in _MEMORY_OPS:
+                if isinstance(exc, ValueError):
+                    raise InterpreterError(
+                        f"{STORE_RANGE_MSG} in @{bc.name}: {exc}") from None
                 raise InterpreterError(
                     f"memory access fault in @{bc.name}: {exc}") from None
             raise

@@ -295,3 +295,28 @@ class TestTieringPolicy:
         stats = cache.stats()
         assert stats["compiles"] == 1  # second VM reused the code object
         assert stats["hits"] >= 1
+
+    def test_source_persisted_under_old_version_misses(self, tmp_path,
+                                                       monkeypatch):
+        # A source generated by an older JIT (a different code shape) is
+        # keyed under the old version's fingerprint and never served.
+        from repro.cache.store import ArtifactStore
+        from repro.runtime import jit_fingerprint, profile
+
+        vm, _ = engines_for(self.SRC)
+        function = vm.module.functions["f"]
+        new_fp = jit_fingerprint(function, True, True)
+        monkeypatch.setattr(profile, "JIT_VERSION", profile.JIT_VERSION - 1)
+        old_fp = jit_fingerprint(function, True, True)
+        monkeypatch.undo()
+        assert old_fp != new_fp
+        stale = "def _jitfn(vm, args):\n    return -1.0\n"
+        assert ArtifactStore(str(tmp_path)).put(old_fp, {"source": stale})
+
+        cache = CodeCache(ArtifactStore(str(tmp_path)))
+        assert cache.get(new_fp) is None
+        _, jit = engines_for(self.SRC, code_cache=cache)
+        (p,) = ptr_args(jit, [np.ones(8)])
+        assert jit.call("f", [p, 8]) == 8.0
+        assert cache.stats()["compiles"] == 1
+        assert CodeCache(ArtifactStore(str(tmp_path))).get(old_fp) is not None
