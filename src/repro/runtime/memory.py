@@ -69,6 +69,12 @@ def dtype_of(ty: IRType) -> np.dtype:
     return np.dtype(_DTYPES[(key[0], key[1])])
 
 
+#: Numpy dtype characters (bool, signed/unsigned ints, float32, float64)
+#: that bind as buffers. Fixed rather than probed through a memoryview,
+#: because which formats a memoryview indexes depends on the Python
+#: version (3.12 added ``float16``).
+_SCALAR_CHARS = "?bBhHiIlLqQfd"
+
 #: Prefix of the error every tier raises for an unrepresentable store.
 STORE_RANGE_MSG = "out-of-range store"
 
@@ -96,18 +102,16 @@ class Buffer:
     def from_numpy(cls, name: str, array: np.ndarray) -> "Buffer":
         """Bind an external array (aliased when it is already contiguous
         and native-endian). Non-native byte order is converted to native
-        here; a dtype a memoryview cannot index (``float16``, complex,
+        here; any dtype outside ``_SCALAR_CHARS`` (``float16``, complex,
         datetime, object, ...) is refused up front instead of faulting at
         the first scalar access mid-run."""
         flat = np.ascontiguousarray(array).reshape(-1)
         if not flat.dtype.isnative:
             flat = flat.astype(flat.dtype.newbyteorder("="))
-        try:
-            memoryview(np.zeros(1, flat.dtype))[0]
-        except (NotImplementedError, ValueError):
+        if flat.dtype.char not in _SCALAR_CHARS:
             raise InterpreterError(
                 f"cannot bind {name}: dtype {flat.dtype} has no native "
-                "scalar access") from None
+                "scalar access")
         return cls(name, flat, flat.dtype.itemsize * 8)
 
     @property

@@ -29,7 +29,7 @@ from repro.runtime import (
     Pointer,
     VirtualMachine,
 )
-from repro.runtime.memory import _DTYPES, STORE_RANGE_MSG
+from repro.runtime.memory import _DTYPES, _SCALAR_CHARS, STORE_RANGE_MSG
 
 TIERS = (Interpreter, VirtualMachine, JitVirtualMachine)
 TIER_IDS = ["reference", "vm", "jit"]
@@ -243,6 +243,7 @@ def test_out_of_range_store_traps_alike_in_every_tier(tier):
         engine.call("f", [1000, Pointer(buffer, 0)])
     assert str(info.value).startswith(STORE_RANGE_MSG)
     assert buffer.data.tolist() == [10_000]
+    _assert_specialized(engine)
 
 
 class TestFromNumpy:
@@ -261,6 +262,14 @@ class TestFromNumpy:
         array = np.zeros(3, dtype=np.int64)
         Pointer(Buffer.from_numpy("a", array), 1).store(5)
         assert array.tolist() == [0, 5, 0]
+
+    @pytest.mark.parametrize("char", list(_SCALAR_CHARS))
+    def test_bindable_dtype_round_trips(self, char):
+        array = np.array([1, 0, 1], dtype=char)
+        pointer = Pointer(Buffer.from_numpy("a", array), 1)
+        pointer.store(array[0].item())
+        assert pointer.load() == array[0].item()
+        assert type(pointer.load()) is type(array[0].item())
 
     @pytest.mark.parametrize("dtype", ["float16", "complex128",
                                        "datetime64[s]"])
