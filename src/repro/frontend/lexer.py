@@ -28,10 +28,26 @@ OPERATORS = (
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 )
 
-_FLOAT_RE = re.compile(
-    r"(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)[fF]?")
-_INT_RE = re.compile(r"(?:0[xX][0-9a-fA-F]+|\d+)[uUlL]*")
+_FLOAT = (r"(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+          r"|\d+[eE][+-]?\d+)[fF]?")
+_INT = r"(?:0[xX][0-9a-fA-F]+|\d+)[uUlL]*"
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+
+# One alternation in the order the kinds are tried: a float before an int
+# (so ``1.5`` is not ``1`` then ``.5``), numbers before identifiers, and the
+# operator table longest first. ``re`` alternation takes the first branch
+# that matches, so this is the same maximal-munch rule token by token.
+_TOKEN_RE = re.compile("|".join((
+    r"(?P<nl>\n)",
+    r"(?P<ws>[ \t\r]+)",
+    f"(?P<float>{_FLOAT})",
+    f"(?P<int>{_INT})",
+    f"(?P<ident>{_IDENT_RE.pattern})",
+    "(?P<op>" + "|".join(re.escape(op) for op in OPERATORS) + ")",
+)))
+
+# A block comment without its ``*/`` falls through to the bare ``/*``.
+_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/|/\*", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -46,23 +62,14 @@ class Token:
 
 def strip_comments(source: str) -> str:
     """Remove // and /* */ comments, preserving line structure."""
-    out: list[str] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch == "/" and i + 1 < n and source[i + 1] == "*":
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise LexError("unterminated block comment")
-            out.append("\n" * source.count("\n", i, end + 2))
-            i = end + 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_blank_comment, source)
+
+
+def _blank_comment(match: re.Match) -> str:
+    text = match.group(0)
+    if text == "/*":
+        raise LexError("unterminated block comment")
+    return "\n" * text.count("\n")
 
 
 def preprocess(source: str) -> str:
@@ -122,43 +129,29 @@ def tokenize(source: str, filename: str = "<input>") -> list[Token]:
     """Tokenize preprocessed mini-C source."""
     source = preprocess(source)
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
+    keywords = KEYWORDS
     line = 1
     line_start = 0
     i, n = 0, len(source)
     while i < n:
-        ch = source[i]
-        if ch == "\n":
+        m = match(source, i)
+        if m is None:
+            raise LexError(f"unexpected character {source[i]!r}",
+                           SourceLocation(line, i - line_start + 1,
+                                          filename))
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "nl":
             line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        loc = SourceLocation(line, i - line_start + 1, filename)
-        fmatch = _FLOAT_RE.match(source, i)
-        if fmatch:
-            tokens.append(Token("float", fmatch.group(0), loc))
-            i = fmatch.end()
-            continue
-        imatch = _INT_RE.match(source, i)
-        if imatch:
-            tokens.append(Token("int", imatch.group(0), loc))
-            i = imatch.end()
-            continue
-        idmatch = _IDENT_RE.match(source, i)
-        if idmatch:
-            text = idmatch.group(0)
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, loc))
-            i = idmatch.end()
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, loc))
-                i += len(op)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", loc)
+            line_start = end
+        elif kind != "ws":
+            text = m.group()
+            if kind == "ident" and text in keywords:
+                kind = "keyword"
+            append(Token(kind, text,
+                         SourceLocation(line, i - line_start + 1, filename)))
+        i = end
     tokens.append(Token("eof", "", SourceLocation(line, 1, filename)))
     return tokens

@@ -1,8 +1,9 @@
 """Semantics of IDL atomic constraints over the IR.
 
-Every atom supports ``check`` (all variables bound) and, where the relation
-is efficiently enumerable, ``candidates`` (exactly one variable unbound) —
-the generator functions the backtracking solver uses to drive the search.
+Every atom supports a check (all variables bound; :func:`atom_check`) and,
+where the relation is efficiently enumerable, ``candidates`` (exactly one
+variable unbound) — the generator functions the backtracking solver uses
+to drive the search.
 ``cost`` ranks how cheap an atom is to execute in the current environment;
 the solver always runs the cheapest ready constraint next, implementing the
 paper's "variables are collected and ordered to assist constraint solving".
@@ -138,18 +139,14 @@ def _is_compile_time(value: Value) -> bool:
     return isinstance(value, Constant)
 
 
-def _class_check(cls: str, value: Value) -> bool:
-    if cls == "unused":
-        return not value.uses
-    if cls == "constant":
-        return _is_constant(value)
-    if cls == "compile_time":
-        return _is_compile_time(value)
-    if cls == "argument":
-        return isinstance(value, Argument)
-    if cls == "instruction":
-        return isinstance(value, Instruction)
-    raise IDLError(f"unknown classification {cls!r}")
+#: ``<var> is <class>`` predicates by class name.
+_CLASS_PREDICATES = {
+    "unused": lambda value: not value.uses,
+    "constant": _is_constant,
+    "compile_time": _is_compile_time,
+    "argument": lambda value: isinstance(value, Argument),
+    "instruction": lambda value: isinstance(value, Instruction),
+}
 
 
 def _type_check(extra: dict, value: Value) -> bool:
@@ -246,7 +243,7 @@ def atom_bindings(atom: LAtom, bound) -> frozenset:
 # ---------------------------------------------------------------------------
 
 class AtomEngine:
-    """Checks and candidate generation for lowered atoms.
+    """Candidate generation for lowered atoms.
 
     ``stats`` (when given) receives a tick per universe element a fallback
     scan filters, so the solver's step counts reflect generation work.
@@ -263,35 +260,6 @@ class AtomEngine:
     # -- public API -------------------------------------------------------------
     def cost(self, atom: LAtom, env: dict) -> int:
         return atom_cost(atom, env)
-
-    def check(self, atom: LAtom, env: dict) -> bool:
-        values = [env[v] for v in atom.vars]
-        kind = atom.kind
-        if kind == "type":
-            return _type_check(atom.extra, values[0])
-        if kind == "class":
-            return _class_check(atom.extra["cls"], values[0])
-        if kind == "opcode":
-            return isinstance(values[0], Instruction) and \
-                values[0].opcode == atom.extra["opcode"]
-        if kind == "same":
-            equal = values_equal(values[0], values[1])
-            return (not equal) if atom.extra["negated"] else equal
-        if kind == "argument_of":
-            return self._check_argument_of(atom, values[0], values[1])
-        if kind == "edge":
-            return self._check_edge(atom.extra["edge"], values[0], values[1])
-        if kind == "reaches_phi":
-            return self._check_reaches_phi(values[0], values[1], values[2])
-        if kind == "dominates":
-            return self._check_dominates(atom, values[0], values[1])
-        if kind == "passes_through":
-            return self._check_passes_through(atom, values)
-        if kind == "killed":
-            lists = [[env[v] for v in vl] for vl in atom.varlists]
-            return flow_killed_by(lists[0], lists[1], lists[2],
-                                  self.ctx.analyses.cfg)
-        raise IDLError(f"unknown atom kind {atom.kind!r}")
 
     def candidates(self, atom: LAtom, var: str, env: dict) -> Iterable[Value]:
         """Yield candidate values for the single unbound variable ``var``."""
@@ -335,66 +303,6 @@ class AtomEngine:
                 atom.extra["type"], ())
             return
         yield from self._scan(atom, var, env)
-
-    # -- checks -----------------------------------------------------------------
-    def _check_argument_of(self, atom: LAtom, child: Value,
-                           parent: Value) -> bool:
-        position = atom.extra["position"]
-        if not isinstance(parent, Instruction):
-            return False
-        if position >= len(parent.operands):
-            return False
-        return values_equal(parent.operands[position], child)
-
-    def _check_edge(self, edge: str, a: Value, b: Value) -> bool:
-        if edge == "data":
-            return has_dataflow_edge(a, b)
-        if edge == "control":
-            if not isinstance(a, Instruction) or not isinstance(b, Instruction):
-                return False
-            return self.ctx.analyses.cfg.has_edge(a, b)
-        if edge == "control_dominance":
-            if not isinstance(a, Instruction) or not isinstance(b, Instruction):
-                return False
-            return self.ctx.analyses.control_dep.depends_on(b, a)
-        if edge == "dependence":
-            if not isinstance(a, Instruction) or not isinstance(b, Instruction):
-                return False
-            return has_dependence_edge(a, b)
-        raise IDLError(f"unknown edge kind {edge!r}")
-
-    def _check_reaches_phi(self, value: Value, phi: Value,
-                           branch: Value) -> bool:
-        if not isinstance(phi, PhiInst) or not isinstance(branch, BranchInst):
-            return False
-        for incoming, block in phi.incoming:
-            if block.terminator is branch and values_equal(incoming, value):
-                return True
-        return False
-
-    def _check_dominates(self, atom: LAtom, a: Value, b: Value) -> bool:
-        if atom.extra["flow"] == "data":
-            raise IDLError("data flow dominance is not implemented")
-        result = self.ctx.dominates(a, b, atom.extra["strict"],
-                                    atom.extra["post"])
-        return (not result) if atom.extra["negated"] else result
-
-    def _check_passes_through(self, atom: LAtom, values: list[Value]) -> bool:
-        source, target, via = values
-        flow = atom.extra.get("flow")
-        if flow == "data":
-            return all_data_flow_passes_through(source, target, via)
-        if flow == "control":
-            if not all(isinstance(v, Instruction) for v in values):
-                return False
-            return self.ctx.analyses.cfg.all_paths_pass_through(
-                source, target, via)
-        # Combined data+control flow: both projections must hold.
-        ok_data = all_data_flow_passes_through(source, target, via)
-        if not all(isinstance(v, Instruction) for v in values):
-            return ok_data
-        return ok_data and self.ctx.analyses.cfg.all_paths_pass_through(
-            source, target, via)
 
     # -- generators -------------------------------------------------------------
     def _gen_argument_of(self, atom: LAtom, position: int,
@@ -495,13 +403,186 @@ class AtomEngine:
     def _scan(self, atom: LAtom, var: str, env: dict) -> Iterable[Value]:
         """Last-resort generator: filter the whole function universe."""
         stats = self.stats
-        for value in self.ctx.universe:
+        ctx = self.ctx
+        check = atom_check(atom)
+        for value in ctx.universe:
             if stats is not None:
-                stats.tick()
+                ticks = stats.ticks = stats.ticks + 1
+                if ticks > stats.max_steps or not ticks & 4095:
+                    stats.check_budget()
             trial = dict(env)
             trial[var] = value
-            try:
-                if self.check(atom, trial):
-                    yield value
-            except IDLError:
-                raise
+            if check(ctx, trial):
+                yield value
+
+
+# ---------------------------------------------------------------------------
+# Bound checks
+# ---------------------------------------------------------------------------
+# Each atom's check is specialised once, on first use, into a closure
+# ``check(ctx, env) -> bool`` over the atom's variable names and options,
+# and cached on the atom (``LAtom.bound_check``): the solver calls it for
+# every candidate, so the kind and option dispatch is paid per atom, not
+# per call.
+
+def atom_check(atom: LAtom):
+    """``atom``'s specialised check, bound on first use."""
+    check = atom.bound_check
+    if check is not None:
+        return check
+    binder = _CHECK_BINDERS.get(atom.kind)
+    if binder is None:
+        def check(ctx, env):
+            raise IDLError(f"unknown atom kind {atom.kind!r}")
+    else:
+        check = binder(atom)
+    atom.bound_check = check
+    return check
+
+
+def _bind_type(atom: LAtom):
+    var, extra = atom.vars[0], atom.extra
+    return lambda ctx, env: _type_check(extra, env[var])
+
+
+def _bind_class(atom: LAtom):
+    var, cls = atom.vars[0], atom.extra["cls"]
+    predicate = _CLASS_PREDICATES.get(cls)
+    if predicate is None:
+        def check(ctx, env):
+            raise IDLError(f"unknown classification {cls!r}")
+        return check
+    return lambda ctx, env: predicate(env[var])
+
+
+def _bind_opcode(atom: LAtom):
+    var, opcode = atom.vars[0], atom.extra["opcode"]
+
+    def check(ctx, env):
+        value = env[var]
+        return isinstance(value, Instruction) and value.opcode == opcode
+    return check
+
+
+def _bind_same(atom: LAtom):
+    a, b = atom.vars[0], atom.vars[1]
+    if atom.extra["negated"]:
+        return lambda ctx, env: not values_equal(env[a], env[b])
+    return lambda ctx, env: values_equal(env[a], env[b])
+
+
+def _bind_argument_of(atom: LAtom):
+    child_var, parent_var = atom.vars[0], atom.vars[1]
+    position = atom.extra["position"]
+
+    def check(ctx, env):
+        parent = env[parent_var]
+        if not isinstance(parent, Instruction) or \
+                position >= len(parent.operands):
+            return False
+        return values_equal(parent.operands[position], env[child_var])
+    return check
+
+
+def _bind_edge(atom: LAtom):
+    a_var, b_var = atom.vars[0], atom.vars[1]
+    edge = atom.extra["edge"]
+    if edge == "data":
+        return lambda ctx, env: has_dataflow_edge(env[a_var], env[b_var])
+    if edge == "control":
+        def relation(ctx, a, b):
+            return ctx.analyses.cfg.has_edge(a, b)
+    elif edge == "control_dominance":
+        def relation(ctx, a, b):
+            return ctx.analyses.control_dep.depends_on(b, a)
+    elif edge == "dependence":
+        def relation(ctx, a, b):
+            return has_dependence_edge(a, b)
+    else:
+        def check(ctx, env):
+            raise IDLError(f"unknown edge kind {edge!r}")
+        return check
+
+    def check(ctx, env):
+        a, b = env[a_var], env[b_var]
+        if not isinstance(a, Instruction) or not isinstance(b, Instruction):
+            return False
+        return relation(ctx, a, b)
+    return check
+
+
+def _bind_reaches_phi(atom: LAtom):
+    value_var, phi_var, branch_var = atom.vars[0], atom.vars[1], atom.vars[2]
+
+    def check(ctx, env):
+        phi, branch = env[phi_var], env[branch_var]
+        if not isinstance(phi, PhiInst) or not isinstance(branch, BranchInst):
+            return False
+        value = env[value_var]
+        for incoming, block in phi.incoming:
+            if block.terminator is branch and values_equal(incoming, value):
+                return True
+        return False
+    return check
+
+
+def _bind_dominates(atom: LAtom):
+    a_var, b_var = atom.vars[0], atom.vars[1]
+    extra = atom.extra
+    if extra["flow"] == "data":
+        def check(ctx, env):
+            raise IDLError("data flow dominance is not implemented")
+        return check
+    strict, post = extra["strict"], extra["post"]
+    if extra["negated"]:
+        return lambda ctx, env: not ctx.dominates(env[a_var], env[b_var],
+                                                  strict, post)
+    return lambda ctx, env: ctx.dominates(env[a_var], env[b_var],
+                                          strict, post)
+
+
+def _bind_passes_through(atom: LAtom):
+    names = list(atom.vars)
+    flow = atom.extra.get("flow")
+
+    def check(ctx, env):
+        values = [env[v] for v in names]
+        source, target, via = values
+        if flow == "data":
+            return all_data_flow_passes_through(source, target, via)
+        if flow == "control":
+            if not all(isinstance(v, Instruction) for v in values):
+                return False
+            return ctx.analyses.cfg.all_paths_pass_through(
+                source, target, via)
+        # Combined data+control flow: both projections must hold.
+        ok_data = all_data_flow_passes_through(source, target, via)
+        if not all(isinstance(v, Instruction) for v in values):
+            return ok_data
+        return ok_data and ctx.analyses.cfg.all_paths_pass_through(
+            source, target, via)
+    return check
+
+
+def _bind_killed(atom: LAtom):
+    varlists = [list(vl) for vl in atom.varlists]
+
+    def check(ctx, env):
+        lists = [[env[v] for v in vl] for vl in varlists]
+        return flow_killed_by(lists[0], lists[1], lists[2],
+                              ctx.analyses.cfg)
+    return check
+
+
+_CHECK_BINDERS = {
+    "type": _bind_type,
+    "class": _bind_class,
+    "opcode": _bind_opcode,
+    "same": _bind_same,
+    "argument_of": _bind_argument_of,
+    "edge": _bind_edge,
+    "reaches_phi": _bind_reaches_phi,
+    "dominates": _bind_dominates,
+    "passes_through": _bind_passes_through,
+    "killed": _bind_killed,
+}

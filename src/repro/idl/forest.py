@@ -54,7 +54,6 @@ from .plan import (
     Plan,
     node_cost,
     plan_signature,
-    simulated_env,
 )
 
 #: Context-binding marker for a subquery context variable the environment
@@ -244,46 +243,6 @@ def feasibility_signature(lowered) -> FeasibilitySignature:
 
 
 # ---------------------------------------------------------------------------
-# Guaranteed bindings / static readiness
-# ---------------------------------------------------------------------------
-
-def guaranteed_binds(plan: Plan) -> frozenset:
-    """Names bound in *every* environment a plan step yields.
-
-    Unlike ``plan.binds`` (the compiler's optimistic simulation), this is
-    the pessimistic set: a collect guarantees only its ``#len`` markers
-    (it may find zero instances), a disjunction only the intersection of
-    its branches. Steps whose inputs are guaranteed by their predecessors
-    need no runtime readiness check — the cost model is monotone in the
-    bound set, so a step ready under the guaranteed subset is ready under
-    any actual environment extending it.
-    """
-    if isinstance(plan, AndPlan):
-        out: frozenset = frozenset()
-        for step in plan.steps:
-            out |= guaranteed_binds(step)
-        return out
-    if isinstance(plan, OrPlan):
-        if not plan.branches:
-            return frozenset()
-        out = guaranteed_binds(plan.branches[0])
-        for branch in plan.branches[1:]:
-            out &= guaranteed_binds(branch)
-        return out
-    if isinstance(plan, CollectPlan):
-        return frozenset(f"#len:{base}"
-                         for base in plan.node.indexed_base_names())
-    if isinstance(plan.node, LMemo):
-        return frozenset(plan.node.mapping.values())
-    return plan.binds  # atom / native leaves bind what they planned
-
-
-def _provably_ready(step: Plan, guaranteed: frozenset) -> bool:
-    return node_cost(step.node, simulated_env(guaranteed),
-                     None) < COST_NOT_READY
-
-
-# ---------------------------------------------------------------------------
 # Root-canonical subquery signatures
 # ---------------------------------------------------------------------------
 # Flattened names are dotted paths over a root segment (``output.address``,
@@ -342,7 +301,8 @@ class _StepExec:
         #: Remaining lowered conjuncts from this step on — the dynamic
         #: fallback input when the step is not ready at runtime.
         self.rest_nodes = rest_nodes
-        self.kind = "plain"
+        #: "atom" leaves go straight to the solver's atom executor.
+        self.kind = "atom" if type(step.node) is LAtom else "plain"
         self.cache_key: tuple | None = None
         self.context: tuple[str, ...] = ()
         self.retarget: dict[str, str] = {}
@@ -439,13 +399,9 @@ def build_forest(order: list[str] | tuple[str, ...],
             raise IDLError(f"idiom {name!r} compiled to an empty plan")
         forest.signatures[name] = feasibility_signature(lowered[name])
         lowered_nodes = [s.node for s in steps]
-        execs: list[_StepExec] = []
-        guaranteed: frozenset = frozenset()
-        for depth, step in enumerate(steps):
-            execs.append(_StepExec(step,
-                                   not _provably_ready(step, guaranteed),
-                                   lowered_nodes[depth:]))
-            guaranteed |= guaranteed_binds(step)
+        # ``checked`` on each step was set when the plan was compiled.
+        execs = [_StepExec(step, step.checked, lowered_nodes[depth:])
+                 for depth, step in enumerate(steps)]
         forest.step_execs[name] = execs
 
         level_index = forest._root_index
@@ -504,6 +460,8 @@ def execute_forest(solver, forest: PlanForest,
         """Environment extensions of one step, through the subquery cache
         for self-contained steps."""
         if info.cache_key is None:
+            if info.kind == "atom":
+                return solver._solve_atom(info.node, env)
             return solver._solve_plan(info.step, env)
         bound = tuple(id(env[v]) if v in env else _UNBOUND
                       for v in info.context)

@@ -43,17 +43,23 @@ MAX_COLLECT_LIMIT = 64
 # Lowered node classes (what the solver executes)
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class LAtom:
     kind: str
     vars: list[str]
     extra: dict = field(default_factory=dict)
     varlists: list[list[str]] = field(default_factory=list)
+    # Lowered atoms are immutable once built, so what the solver derives
+    # from one is cached on it: the free-variable set and the specialised
+    # check (see :func:`repro.idl.atoms.atom_check`).
+    _free_vars: frozenset | None = field(
+        default=None, init=False, repr=False, compare=False)
+    bound_check: object = field(
+        default=None, init=False, repr=False, compare=False)
 
     def free_vars(self) -> frozenset[str]:
-        # Lowered atoms are immutable once built and their free-variable
-        # sets are consulted on every cost ranking; build the set once.
-        cached = getattr(self, "_free_vars", None)
+        # Consulted on every cost ranking; build the set once.
+        cached = self._free_vars
         if cached is None:
             names = set(self.vars)
             for vl in self.varlists:

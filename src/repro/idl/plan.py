@@ -25,6 +25,7 @@ ordering for the remainder of that conjunction, preserving the seed's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..errors import IDLError
 from .atoms import COST_NOT_READY, atom_bindings, atom_cost
@@ -94,12 +95,15 @@ class Plan:
 
     ``cost`` is the static cost rank at the position the compiler scheduled
     this node; ``binds`` the names the simulation assumes newly bound after
-    it solves.
+    it solves. ``checked`` is False on a conjunction step that the steps
+    before it guarantee ready (see :func:`mark_ready_checks`): the
+    executor skips its runtime readiness probe.
     """
 
     node: object
     cost: int = 0
     binds: frozenset = frozenset()
+    checked: ClassVar[bool] = True
 
     def describe(self, depth: int = 0) -> str:
         pad = "  " * depth
@@ -159,17 +163,22 @@ def compile_plan(node, bound: frozenset = frozenset()) -> Plan:
     result is cached per idiom by :class:`~repro.idl.compiler.IdiomCompiler`
     and shared by every solve.
     """
+    plan = _compile(node, bound)
+    mark_ready_checks(plan, frozenset())
+    return plan
+
+
+def _compile(node, bound: frozenset) -> Plan:
     if isinstance(node, LAnd):
         return _compile_and(node, bound)
     if isinstance(node, LOr):
-        branches = [compile_plan(c, bound) for c in node.children]
+        branches = [_compile(c, bound) for c in node.children]
         binds = frozenset()
         if branches:
             binds = frozenset.intersection(*[b.binds for b in branches])
         return OrPlan(node, 0, binds, branches)
     if isinstance(node, LCollect):
-        body = compile_plan(node.instance,
-                            bound | frozenset(node.free_vars()))
+        body = _compile(node.instance, bound | frozenset(node.free_vars()))
         return CollectPlan(node, COST_COLLECT,
                            _collect_bindings(node, bound), body)
     if isinstance(node, LMemo):
@@ -206,14 +215,74 @@ def _compile_and(node: LAnd, bound: frozenset) -> AndPlan:
             # executor's dynamic fallback (or the stuck-branch path)
             # resolves it with real bindings.
             for child in remaining:
-                steps.append(compile_plan(child, frozenset(current)))
+                steps.append(_compile(child, frozenset(current)))
             break
         child = remaining.pop(best_index)
-        sub = compile_plan(child, frozenset(current))
+        sub = _compile(child, frozenset(current))
         sub.cost = best_cost
         steps.append(sub)
         current |= sub.binds
     return AndPlan(node, 0, frozenset(current) - bound, steps)
+
+
+# ---------------------------------------------------------------------------
+# Guaranteed bindings / static readiness
+# ---------------------------------------------------------------------------
+
+def guaranteed_binds(plan: Plan) -> frozenset:
+    """Names bound in *every* environment a plan step yields.
+
+    Unlike ``plan.binds`` (the compiler's optimistic simulation), this is
+    the pessimistic set: a collect guarantees only its ``#len`` markers
+    (it may find zero instances), a disjunction only the intersection of
+    its branches. Steps whose inputs are guaranteed by their predecessors
+    need no runtime readiness check — the cost model is monotone in the
+    bound set, so a step ready under the guaranteed subset is ready under
+    any actual environment extending it.
+    """
+    if isinstance(plan, AndPlan):
+        out: frozenset = frozenset()
+        for step in plan.steps:
+            out |= guaranteed_binds(step)
+        return out
+    if isinstance(plan, OrPlan):
+        if not plan.branches:
+            return frozenset()
+        out = guaranteed_binds(plan.branches[0])
+        for branch in plan.branches[1:]:
+            out &= guaranteed_binds(branch)
+        return out
+    if isinstance(plan, CollectPlan):
+        return frozenset(f"#len:{base}"
+                         for base in plan.node.indexed_base_names())
+    if isinstance(plan.node, LMemo):
+        return frozenset(plan.node.mapping.values())
+    return plan.binds  # atom / native leaves bind what they planned
+
+
+def mark_ready_checks(plan: Plan, guaranteed: frozenset) -> None:
+    """Set ``checked`` on the conjunction steps inside a plan entered
+    with ``guaranteed`` bound.
+
+    A step is entered with everything its predecessors guarantee; a
+    disjunction's branches and a collect's body are entered with what
+    their own step is entered with. (A memo reference's plan runs from an
+    empty environment and is marked when it is compiled.)
+    """
+    if isinstance(plan, AndPlan):
+        env = simulated_env(guaranteed)
+        for step in plan.steps:
+            step.checked = node_cost(step.node, env, None) >= COST_NOT_READY
+            mark_ready_checks(step, guaranteed)
+            new = guaranteed_binds(step) - guaranteed
+            if new:
+                guaranteed |= new
+                env.update(simulated_env(new))
+    elif isinstance(plan, OrPlan):
+        for branch in plan.branches:
+            mark_ready_checks(branch, guaranteed)
+    elif isinstance(plan, CollectPlan) and plan.body is not None:
+        mark_ready_checks(plan.body, guaranteed)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from typing import Iterator
 from ..analysis.info import FunctionAnalyses
 from ..errors import IDLError, SolveTimeout
 from ..ir.module import Function
-from .atoms import COST_NOT_READY, AtomEngine, SolveContext, value_key, \
-    values_equal
+from .atoms import COST_NOT_READY, AtomEngine, SolveContext, atom_check, \
+    value_key, values_equal
 from .lowering import LAnd, LAtom, LCollect, LMemo, LNative, LOr
 from .plan import AndPlan, CollectPlan, OrPlan, Plan, node_cost
 
@@ -104,7 +104,13 @@ class SolverStats:
             self.deadline_at = time.monotonic() + deadline_s
 
     def tick(self) -> None:
-        self.ticks += 1
+        # The solver's inner loops inline this body.
+        ticks = self.ticks = self.ticks + 1
+        if ticks > self.max_steps or not ticks & 4095:
+            self.check_budget()
+
+    def check_budget(self) -> None:
+        """Enforce the step cap and the deadline after a tick."""
         if self.ticks > self.max_steps:
             raise IDLError(
                 f"constraint search exceeded {self.max_steps} steps")
@@ -218,14 +224,18 @@ class Solver:
             yield env
             return
         step = steps[index]
-        if node_cost(step.node, env, self.context) >= COST_NOT_READY:
+        if step.checked and \
+                node_cost(step.node, env, self.context) >= COST_NOT_READY:
             # The plan assumed a binding (or-branch intersection, collect
             # instance) that this search path did not produce: re-derive
             # the order dynamically for the remaining conjuncts.
             self.stats.plan_fallbacks += 1
             yield from self._solve_and([s.node for s in steps[index:]], env)
             return
-        for extended in self._solve_plan(step, env):
+        node = step.node
+        source = self._solve_atom(node, env) if type(node) is LAtom \
+            else self._solve_plan(step, env)
+        for extended in source:
             yield from self._solve_and_plan(steps, index + 1, extended)
 
     # -- node dispatch ---------------------------------------------------------------
@@ -247,24 +257,32 @@ class Solver:
             raise IDLError(f"unknown lowered node {type(node).__name__}")
 
     def _solve_atom(self, atom: LAtom, env: dict) -> Iterator[dict]:
-        self.stats.tick()
+        stats = self.stats
+        ctx = self.context
+        check = atom_check(atom)
+        # Ticks are inlined (see SolverStats.tick).
+        ticks = stats.ticks = stats.ticks + 1
+        if ticks > stats.max_steps or not ticks & 4095:
+            stats.check_budget()
         unbound = [v for v in atom.free_vars() if v not in env]
         if not unbound:
-            if self.engine.check(atom, env):
+            if check(ctx, env):
                 yield env
             else:
-                self.stats.backtracks += 1
+                stats.backtracks += 1
             return
         if len(unbound) == 1:
             var = unbound[0]
             for candidate in self.engine.candidates(atom, var, env):
-                self.stats.tick()
+                ticks = stats.ticks = stats.ticks + 1
+                if ticks > stats.max_steps or not ticks & 4095:
+                    stats.check_budget()
                 trial = dict(env)
                 trial[var] = candidate
-                if self.engine.check(atom, trial):
+                if check(ctx, trial):
                     yield trial
                 else:
-                    self.stats.backtracks += 1
+                    stats.backtracks += 1
             return
         # Multi-binding: 'reaches phi node' with the phi bound can bind both
         # the incoming value and the branch in one step.
@@ -278,14 +296,14 @@ class Solver:
                 branch = block.terminator
                 if branch is None:
                     continue
-                self.stats.tick()
+                stats.tick()
                 trial = dict(env)
                 trial[atom.vars[0]] = value
                 trial[atom.vars[2]] = branch
-                if self.engine.check(atom, trial):
+                if check(ctx, trial):
                     yield trial
                 else:
-                    self.stats.backtracks += 1
+                    stats.backtracks += 1
             return
         raise IDLError(
             f"atom {atom.kind} reached with {len(unbound)} unbound "

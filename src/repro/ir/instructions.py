@@ -66,6 +66,9 @@ class Instruction(User):
     def function(self) -> "Function | None":
         return self.parent.parent if self.parent is not None else None
 
+    def _name_index(self) -> dict[str, int] | None:
+        return self.parent._names if self.parent is not None else None
+
     def is_terminator(self) -> bool:
         return isinstance(self, (BranchInst, RetInst, UnreachableInst))
 

@@ -7,7 +7,7 @@ from typing import Iterator
 from ..errors import IRError
 from .instructions import BranchInst, Instruction, PhiInst
 from .types import LABEL, FunctionType, IRType
-from .values import Argument, GlobalVariable, Value
+from .values import Argument, GlobalVariable, Value, count_name, uncount_name
 
 
 class BasicBlock(Value):
@@ -16,12 +16,22 @@ class BasicBlock(Value):
     Blocks are :class:`Value` subclasses (with label type) so branch
     instructions can hold them as operands and the use-list machinery tracks
     predecessor edges automatically.
+
+    Instructions enter and leave a block only through :meth:`append`,
+    :meth:`insert` and :meth:`remove`, which keep the holding function's
+    name index in step.
     """
 
     def __init__(self, name: str, parent: "Function | None" = None):
         super().__init__(LABEL, name)
         self.parent = parent
         self.instructions: list[Instruction] = []
+        #: The name index of the function whose ``blocks`` hold this block
+        #: (None while the block is detached).
+        self._names: dict[str, int] | None = None
+
+    def _name_index(self) -> dict[str, int] | None:
+        return self._names
 
     # -- structure -------------------------------------------------------------
     def append(self, inst: Instruction) -> Instruction:
@@ -29,6 +39,8 @@ class BasicBlock(Value):
             raise IRError(f"instruction {inst.ref()} already has a parent")
         inst.parent = self
         self.instructions.append(inst)
+        if self._names is not None:
+            count_name(self._names, inst._name)
         return inst
 
     def insert(self, index: int, inst: Instruction) -> Instruction:
@@ -36,11 +48,15 @@ class BasicBlock(Value):
             raise IRError(f"instruction {inst.ref()} already has a parent")
         inst.parent = self
         self.instructions.insert(index, inst)
+        if self._names is not None:
+            count_name(self._names, inst._name)
         return inst
 
     def remove(self, inst: Instruction) -> None:
         self.instructions.remove(inst)
         inst.parent = None
+        if self._names is not None:
+            uncount_name(self._names, inst._name)
 
     @property
     def terminator(self) -> Instruction | None:
@@ -92,7 +108,12 @@ class BasicBlock(Value):
 
 
 class Function:
-    """A function: argument list plus a list of basic blocks."""
+    """A function: argument list plus a list of basic blocks.
+
+    Blocks enter and leave ``blocks`` only through :meth:`append_block`,
+    :meth:`add_block` and :meth:`remove_block`, which keep the name index
+    behind :meth:`unique_name` exact.
+    """
 
     def __init__(self, name: str, ftype: FunctionType,
                  module: "Module | None" = None,
@@ -107,6 +128,11 @@ class Function:
         self.args = [Argument(ty, nm, self, i)
                      for i, (ty, nm) in enumerate(zip(ftype.params, names))]
         self._name_counter = 0
+        #: How many arguments, blocks in ``blocks`` and instructions in
+        #: those blocks hold each non-empty name.
+        self._names: dict[str, int] = {}
+        for arg in self.args:
+            count_name(self._names, arg.name)
 
     @property
     def return_type(self) -> IRType:
@@ -122,26 +148,39 @@ class Function:
         return not self.blocks
 
     def append_block(self, name: str = "") -> BasicBlock:
-        block = BasicBlock(self.unique_name(name or "bb"), self)
+        return self.add_block(BasicBlock(self.unique_name(name or "bb"), self))
+
+    def add_block(self, block: BasicBlock) -> BasicBlock:
+        """Append an existing detached block, instructions and all."""
+        if block._names is not None:
+            raise IRError(f"block {block.ref()} already belongs to a function")
+        block.parent = self
         self.blocks.append(block)
+        names = block._names = self._names
+        count_name(names, block.name)
+        for inst in block.instructions:
+            count_name(names, inst._name)
         return block
 
     def remove_block(self, block: BasicBlock) -> None:
         self.blocks.remove(block)
         block.parent = None
+        names, block._names = block._names, None
+        uncount_name(names, block.name)
+        for inst in block.instructions:
+            uncount_name(names, inst._name)
 
     def instructions(self) -> Iterator[Instruction]:
         for block in self.blocks:
             yield from block.instructions
 
     def unique_name(self, base: str) -> str:
-        """Generate a name unique within this function."""
-        existing = {b.name for b in self.blocks}
-        for inst in self.instructions():
-            if inst.name:
-                existing.add(inst.name)
-        for arg in self.args:
-            existing.add(arg.name)
+        """Generate a name no argument, block or instruction holds.
+
+        ``base`` itself if it is free, else ``base`` followed by the next
+        free value of a per-function counter.
+        """
+        existing = self._names
         if base and base not in existing:
             return base
         while True:

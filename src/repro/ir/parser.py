@@ -130,15 +130,16 @@ class _FunctionParser:
             block = self.get_block(label.group(1))
             if block in self.function.blocks:
                 raise IRError(f"duplicate block {label.group(1)}")
-            self.function.blocks.append(block)
+            self.function.add_block(block)
             self.current = block
             return
         if self.current is None:
             raise IRError(f"instruction outside block: {line!r}")
         inst, name = self._parse_instruction(line)
-        self.current.append(inst)
         if name is not None:
             inst.name = name
+        self.current.append(inst)
+        if name is not None:
             self.define(name, inst)
 
     def _parse_instruction(self, line: str):

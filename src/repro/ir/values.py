@@ -10,6 +10,7 @@ query and so ``replace_all_uses_with`` works during transformation.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import IRError
@@ -33,13 +34,44 @@ class Use:
         return f"<Use {self.user!r}[{self.index}]>"
 
 
+def count_name(index: dict[str, int], name: str) -> None:
+    """Add one holder of ``name`` to a function's name index."""
+    if name:
+        index[name] = index.get(name, 0) + 1
+
+
+def uncount_name(index: dict[str, int], name: str) -> None:
+    """Remove one holder of ``name`` from a function's name index."""
+    if name:
+        left = index[name] - 1
+        if left:
+            index[name] = left
+        else:
+            del index[name]
+
+
 class Value:
     """Base class for everything that can be used as an operand."""
 
     def __init__(self, ty: IRType, name: str = ""):
         self.type = ty
-        self.name = name
+        self._name = name
         self.uses: list[Use] = []
+
+    def _set_name(self, name: str) -> None:
+        index = self._name_index()
+        if index is not None:
+            uncount_name(index, self._name)
+            count_name(index, name)
+        self._name = name
+
+    #: The value's name. A rename goes through the setter, so the name
+    #: index of the function holding the value stays exact.
+    name = property(attrgetter("_name"), _set_name)
+
+    def _name_index(self) -> dict[str, int] | None:
+        """The name index of the function holding this value, if any."""
+        return None
 
     # -- use-list management -------------------------------------------------
     def add_use(self, use: Use) -> None:
@@ -232,6 +264,9 @@ class Argument(Value):
         super().__init__(ty, name)
         self.function = function
         self.index = index
+
+    def _name_index(self) -> dict[str, int] | None:
+        return self.function._names if self.function is not None else None
 
 
 def const_int(value: int, ty: IntType | None = None) -> ConstantInt:

@@ -12,10 +12,10 @@ dispatch instead of one instruction tuple each.
 On top of the scalar specialization, innermost counted loops whose bodies
 are affine array traversals are batched into vectorized numpy kernels. A
 runtime guard checks bounds, aliasing and stride preconditions on every
-loop entry; on failure the generated code *deopts*: it materializes the
-live frame (register list + allocas) and re-enters the register VM at the
-loop header via :meth:`VirtualMachine._resume`, keeping the VM as the
-always-correct fallback tier.
+loop entry; on failure the generated code *deopts*: it counts the refusal
+in ``deopt_count`` and falls through to the specialized scalar loop it
+also emits for that header, so the rest of the call stays in generated
+code.
 
 Observability contract: the generated code increments the same dense
 per-block count arrays the VM uses (one increment per taken CFG edge; a
@@ -181,6 +181,11 @@ def _vec_guard(accesses, n):
     return True
 
 
+class _GatherOutOfRange(Exception):
+    """Raised inside a kernel whose gathered indices leave their array:
+    the kernel is refused and the scalar loop runs instead."""
+
+
 #: Names under which non-inlinable callables appear in generated source.
 _CALL_NAMES = {id(_sdiv): "_sdiv", id(_srem): "_srem", id(_frem): "_frem"}
 
@@ -192,6 +197,7 @@ _STATIC_NS = {
     "_sdiv": _sdiv, "_srem": _srem, "_frem": _frem, "_csinf": _csinf,
     "_vslice": _vslice, "_vstore": _vstore, "_vfdiv": _vfdiv,
     "_vsqrt": _vsqrt, "_vec_guard": _vec_guard,
+    "_GatherOutOfRange": _GatherOutOfRange,
 }
 for _pred, _fn in FCMP_FNS.items():
     if id(_fn) not in _INLINE_BIN:
@@ -657,7 +663,7 @@ _UNSEEN = object()
 
 class JitVirtualMachine(VirtualMachine):
     """Three-tier executor: specialized Python for hot functions, register
-    VM for cold ones and as the deopt target.
+    VM for cold ones.
 
     Fully substitutable for :class:`VirtualMachine`: same constructor
     surface plus the tiering knobs, same ``call``/``profile``/``steps``

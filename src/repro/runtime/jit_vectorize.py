@@ -11,10 +11,10 @@ code computes the trip count, materializes every access as a
 partially-overlapping store). If yes, the whole loop runs as numpy slice
 arithmetic — loads first, then stores in program order, then bit-exact
 sequential reduction folds — and the block counts / step budget advance
-by the batched trip count. If no, the code **deopts**: the live frame is
-rebuilt as a register list and execution re-enters the register VM at the
-loop header, which replays the loop scalar-exactly (including faults and
-index wrapping).
+by the batched trip count. If no, the kernel is *refused* (counted in
+``deopt_count``) and execution falls through to the specialized scalar
+loop already emitted for that header, in the same generated function,
+which runs the loop scalar-exactly (including faults and index wrapping).
 
 Bit-identity notes: elementwise float64 numpy arithmetic rounds exactly
 like the scalar Python operators; reductions are *not* reassociated — the
@@ -59,13 +59,15 @@ class LoopPlan:
     """Everything needed to splice one loop's kernel into an entry edge."""
 
     __slots__ = ("header_index", "body_index", "loop_blocks", "trip_expr",
-                 "setup_lines", "guard_expr", "body_lines", "deopt_lines")
+                 "setup_lines", "guard_expr", "body_lines", "has_gather")
 
     def __init__(self):
         self.setup_lines: list[str] = []
-        #: (relative indent, text); indent 1 is inside the reduction fold.
+        #: (relative indent, text); indent 1 is inside the reduction fold
+        #: or a gather bounds check.
         self.body_lines: list[tuple[int, str]] = []
-        self.deopt_lines: list[str] = []
+        #: A gather bounds check in the body may refuse the kernel.
+        self.has_gather = False
 
 
 def build_loop_plans(spec) -> dict:
@@ -88,7 +90,12 @@ def build_loop_plans(spec) -> dict:
 
 
 def emit_kernel(spec, plan: LoopPlan, depth: int) -> None:
-    """Splice the kernel-or-deopt sequence at a loop entry edge."""
+    """Splice the kernel at a loop entry edge.
+
+    Whether it runs or is refused, control then continues along the edge
+    into the header's scalar code: after a kernel the header sees the
+    final induction value and exits; after a refusal it runs the loop.
+    """
     emit = spec.lines.append
     site = f"{spec.bc.name}:{plan.header_index}"
     emit((depth, f"_t = {plan.trip_expr}"))
@@ -99,17 +106,23 @@ def emit_kernel(spec, plan: LoopPlan, depth: int) -> None:
         emit((d1, line))
     emit((d1, f"if steps + _t * 2 <= max_steps and {plan.guard_expr}:"))
     d2 = d1 + 1
+    if plan.has_gather:
+        # Gather loops store nothing and the bounds checks precede every
+        # register update, so a refusal leaves the frame untouched.
+        emit((d2, "try:"))
+        d2 += 1
     for rel, line in plan.body_lines:
         emit((d2 + rel, line))
     if spec.profiling:
         emit((d2, f"counts[{plan.header_index}] += _t"))
         emit((d2, f"counts[{plan.body_index}] += _t"))
     emit((d2, "steps += _t * 2"))
+    if plan.has_gather:
+        emit((d1 + 1, "except _GatherOutOfRange:"))
+        emit((d1 + 2, "vm.deopt_count += 1"))
     emit((d1, "else:"))
-    d3 = d1 + 1
-    emit((d3, f"vm.deopt_sites[{site!r}] = True"))
-    for line in plan.deopt_lines:
-        emit((d3, line))
+    emit((d1 + 1, f"vm.deopt_sites[{site!r}] = True"))
+    emit((d1 + 1, "vm.deopt_count += 1"))
 
 
 # -- token arithmetic (fold to int literals when possible) -------------------
@@ -174,7 +187,6 @@ class _Planner:
         self.store_dtoks: set[str] = set()
         self.n_expr = 0
         self.n_gather = 0
-        self.has_gather = False
         self.uses_kv = False
         self.global_slot = {g: s for s, g in spec.bc.global_consts}
 
@@ -219,13 +231,6 @@ class _Planner:
         plan.header_index = self.index_of[id(header)]
         plan.body_index = self.index_of[id(body)]
         plan.loop_blocks = {plan.header_index, plan.body_index}
-        plan.deopt_lines = [
-            "vm.deopt_count += 1",
-            "vm.steps = steps",
-            f"regs = [{', '.join(spec.names)}]",
-            f"return vm._resume(vm._bc[{spec.bc.name!r}], regs, allocas, "
-            f"{plan.header_index})",
-        ]
         self._find_induction(cmp_inst, body_on_true)
         reductions = self._find_reductions()
         self._walk_body(reductions)
@@ -338,7 +343,7 @@ class _Planner:
                     raise _Reject
                 self._vec_load(inst)
             elif isinstance(inst, StoreInst):
-                if self.has_gather:
+                if self.plan.has_gather:
                     # Gather loops stay read-only: a data-dependent index
                     # could alias any lattice, defeating the overlap guard.
                     raise _Reject
@@ -549,21 +554,20 @@ class _Planner:
                 (0, f"{tok} = _vslice({dtok}, _b{k}, _s{k}, _t)"))
         else:
             # Gather: bounds are data, not a closed form — check the
-            # realized index vector and deopt so the VM reproduces the
-            # scalar semantics (negative wrap, or fault) exactly. The
-            # site is NOT blacklisted: the indices may be fine on the
-            # next entry.
+            # realized index vector and refuse the kernel so the scalar
+            # loop reproduces the scalar semantics (negative wrap, or
+            # fault) exactly. The site is NOT blacklisted: the indices
+            # may be fine on the next entry.
             _, idx_expr, dtok = kind
             g = self.n_gather
             self.n_gather += 1
-            self.has_gather = True
+            self.plan.has_gather = True
             tok = f"_gv{g}"
             self.load_lines.append((0, f"_gi{g} = {idx_expr}"))
             self.load_lines.append(
                 (0, f"if int(_gi{g}.min()) < 0 "
                     f"or int(_gi{g}.max()) >= {dtok}.size:"))
-            for line in self.plan.deopt_lines:
-                self.load_lines.append((1, line))
+            self.load_lines.append((1, "raise _GatherOutOfRange"))
             self.load_lines.append((0, f"{tok} = {dtok}[_gi{g}]"))
         self.vec_memo[id(inst)] = tok
         return tok

@@ -22,7 +22,8 @@ the specializer decides *how*. Two pieces:
   *arm ordering* consults the compiling VM's warm per-block counts when
   available (static loop depth otherwise), so a cache hit may serve a
   sibling VM's ordering — identical results and profiles, possibly a
-  different hottest-first layout. An optional :class:`~repro.cache.store
+  different hottest-first layout. In-process entries are bounded (LRU).
+  An optional :class:`~repro.cache.store
   .ArtifactStore` backing persists the generated *source text*, letting
   warm sessions skip the bytecode walk and codegen and go straight to
   ``compile()``.
@@ -31,6 +32,7 @@ the specializer decides *how*. Two pieces:
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 
 from ..cache.fingerprint import globals_signature
 from ..ir.module import Function
@@ -38,7 +40,7 @@ from ..ir.printer import print_function_canonical
 
 #: Bump whenever the generated-code shape changes (new preamble, changed
 #: guard structure, …); stale persisted sources then simply miss.
-JIT_VERSION = 2
+JIT_VERSION = 3
 
 
 def jit_fingerprint(function: Function, profiling: bool,
@@ -85,13 +87,21 @@ class HotnessTracker:
         return count == self.threshold
 
 
+#: In-process entries a :class:`CodeCache` keeps; the least recently used
+#: is evicted past it. The 21-program suite compiles about 150
+#: specializations per engine configuration.
+CODE_CACHE_ENTRIES = 512
+
+
 class CodeCache:
     """Fingerprint-keyed cache of compiled specializations.
 
     In-process entries map a fingerprint to a Python *code object* (the
     expensive artifacts: codegen walk + ``compile()``); callers ``exec``
     it into a fresh namespace per VM, so no VM-instance state is ever
-    shared through the cache. With a ``store`` attached, source text is
+    shared through the cache. At most :data:`CODE_CACHE_ENTRIES` stay in
+    process, least recently used first out; an evicted specialization is
+    simply compiled again. With a ``store`` attached, source text is
     additionally persisted under the same key (payload: one ``source``
     string), so a later process rebuilds the code object from text
     without re-walking bytecode.
@@ -99,20 +109,23 @@ class CodeCache:
 
     def __init__(self, store=None):
         self.store = store
-        self._code: dict[str, object] = {}
+        self._code: OrderedDict[str, object] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.compiles = 0
+        self.evictions = 0
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
-                "compiles": self.compiles, "entries": len(self._code)}
+                "compiles": self.compiles, "evictions": self.evictions,
+                "entries": len(self._code)}
 
     def get(self, fingerprint: str):
         """The cached code object, or None. Consults the persistent
         backing on an in-process miss."""
         code = self._code.get(fingerprint)
         if code is not None:
+            self._code.move_to_end(fingerprint)
             self.hits += 1
             return code
         if self.store is not None:
@@ -125,17 +138,24 @@ class CodeCache:
                 except SyntaxError:  # corrupt/stale payload: treat as miss
                     code = None
                 if code is not None:
-                    self._code[fingerprint] = code
+                    self._keep(fingerprint, code)
                     self.hits += 1
                     return code
         self.misses += 1
         return None
 
     def put(self, fingerprint: str, source: str, code) -> None:
-        self._code[fingerprint] = code
+        self._keep(fingerprint, code)
         self.compiles += 1
         if self.store is not None:
             self.store.put(fingerprint, {"source": source})
+
+    def _keep(self, fingerprint: str, code) -> None:
+        self._code[fingerprint] = code
+        self._code.move_to_end(fingerprint)
+        while len(self._code) > CODE_CACHE_ENTRIES:
+            self._code.popitem(last=False)
+            self.evictions += 1
 
 
 #: Process-wide default cache: VMs over identical module content share

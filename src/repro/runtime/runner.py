@@ -44,8 +44,8 @@ ENGINE_DESCRIPTIONS = {
     "reference": "tree-walking interpreter over the IR (semantic baseline)",
     "vm": "register bytecode VM, functions lowered once on first call",
     "jit": "VM plus profile-guided specialization: hot functions become "
-           "compiled Python with numpy-batched affine loops, deopting to "
-           "the VM when a guard fails",
+           "compiled Python with numpy-batched affine loops, falling "
+           "back to their specialized scalar loop when a guard fails",
 }
 
 

@@ -168,24 +168,11 @@ class VirtualMachine:
         self.steps = steps
         if steps > self.max_steps:
             raise InterpreterError(_BUDGET_MSG)
-        return self._execute_from(bc, regs, [None] * bc.n_allocas, 0)
+        return self._execute(bc, regs)
 
-    def _resume(self, bc: BytecodeFunction, regs: list, allocas: list,
-                block_index: int):
-        """Re-enter a frame at a block boundary (JIT deopt path).
-
-        ``regs``/``allocas`` carry the live frame state built by the
-        caller; the edge into the target block — its profile count and
-        step — has already been accounted, so execution continues as if
-        the VM had taken that edge itself. Entering at a block start is
-        always safe: phis emit no code (their slots were written by the
-        incoming edge's move list).
-        """
-        return self._execute_from(bc, regs, allocas,
-                                  bc.block_starts[block_index])
-
-    def _execute_from(self, bc: BytecodeFunction, regs: list,
-                      allocas: list, pc: int):
+    def _execute(self, bc: BytecodeFunction, regs: list):
+        allocas = [None] * bc.n_allocas
+        pc = 0
         counts = self._counts[bc.name]
         code = bc.code
         max_steps = self.max_steps

@@ -23,10 +23,10 @@ from repro.idl import (
 from repro.idl.forest import (
     FeasibilitySignature,
     feasibility_signature,
-    guaranteed_binds,
     min_loop_depth,
     required_opcodes,
 )
+from repro.idl.plan import guaranteed_binds
 from repro.passes import optimize
 from repro.workloads import all_workloads
 

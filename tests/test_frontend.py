@@ -41,6 +41,68 @@ class TestLexer:
         with pytest.raises(LexError):
             tokenize("int $x;")
 
+    def test_bad_character_location(self):
+        with pytest.raises(LexError, match=r"2:3: unexpected character '@'"):
+            tokenize("int x;\nx @ 1;")
+
+    def test_unterminated_block_comment(self):
+        with pytest.raises(LexError, match="unterminated block comment"):
+            tokenize("int x; /* never closed\nint y;")
+
+    @pytest.mark.parametrize("source, texts", [
+        ("a>>=b", ["a", ">>=", "b"]),
+        ("a<<=b", ["a", "<<=", "b"]),
+        ("p->q", ["p", "->", "q"]),
+        ("f(...)", ["f", "(", "...", ")"]),
+        ("a>>b>=c", ["a", ">>", "b", ">=", "c"]),
+        ("a-->b", ["a", "--", ">", "b"]),
+        ("a+++b", ["a", "++", "+", "b"]),
+        ("a&&b||!c", ["a", "&&", "b", "||", "!", "c"]),
+    ])
+    def test_longest_match_operators(self, source, texts):
+        toks = tokenize(source)
+        assert [t.text for t in toks[:-1]] == texts
+        assert {t.kind for t in toks[:-1] if not t.text[0].isalpha()} \
+            <= {"op"}
+
+    @pytest.mark.parametrize("text", [
+        ".5", "1.", "1.5", "1e-3f", "2E+4", "3.25e10", "0.5F", "6e2"])
+    def test_float_forms(self, text):
+        toks = tokenize(text)
+        assert [(t.kind, t.text) for t in toks[:-1]] == [("float", text)]
+
+    @pytest.mark.parametrize("text", ["0x1Fu", "10UL", "0", "42", "7lu"])
+    def test_int_forms(self, text):
+        toks = tokenize(text)
+        assert [(t.kind, t.text) for t in toks[:-1]] == [("int", text)]
+
+    def test_member_dot_is_not_a_float(self):
+        toks = tokenize("s.x")
+        assert [(t.kind, t.text) for t in toks[:-1]] == [
+            ("ident", "s"), ("op", "."), ("ident", "x")]
+
+    def test_keyword_vs_identifier(self):
+        toks = tokenize("for fort int_ int double doubles _if if")
+        assert [(t.kind, t.text) for t in toks[:-1]] == [
+            ("keyword", "for"), ("ident", "fort"), ("ident", "int_"),
+            ("keyword", "int"), ("keyword", "double"),
+            ("ident", "doubles"), ("ident", "_if"), ("keyword", "if")]
+
+    def test_positions_after_block_comment(self):
+        source = "int a; /* one\ntwo\nthree */\n  b = 1;\n\tc"
+        toks = tokenize(source, "f.c")
+        where = {t.text: (t.location.line, t.location.column)
+                 for t in toks}
+        assert where["int"] == (1, 1)
+        assert where["a"] == (1, 5)
+        assert where["b"] == (4, 3)
+        assert where["="] == (4, 5)
+        assert where["1"] == (4, 7)
+        assert where["c"] == (5, 2)
+        assert toks[-1].kind == "eof"
+        assert toks[-1].location.line == 5
+        assert all(t.location.filename == "f.c" for t in toks)
+
 
 class TestParser:
     def test_function_parse(self):

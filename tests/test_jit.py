@@ -4,8 +4,8 @@ The jit tier must be observationally **bit-identical** to the register VM
 (and hence to the reference interpreter): same return values, same memory
 contents, count-identical per-block profiles and the same step totals, on
 every suite workload. The deopt path — kernels whose guard fails at run
-time — must fall back to the VM mid-call without breaking any of those
-contracts.
+time — must fall through to the specialized scalar loop mid-call without
+breaking any of those contracts.
 """
 
 import numpy as np
@@ -134,7 +134,8 @@ class TestDeopt:
 
     def test_gather_bounds_deopt_reproduces_wraparound(self):
         # Negative indirect indices: the kernel's bounds check deopts and
-        # the VM replays python-style negative indexing bit-exactly.
+        # the scalar loop replays python-style negative indexing
+        # bit-exactly.
         src = """
 double f(double *x, int *idx, int n) {
   double s = 0.0;
@@ -295,6 +296,36 @@ class TestTieringPolicy:
         stats = cache.stats()
         assert stats["compiles"] == 1  # second VM reused the code object
         assert stats["hits"] >= 1
+
+    def test_code_cache_evicts_lru_and_recompiles(self):
+        from repro.runtime.profile import CODE_CACHE_ENTRIES
+
+        cache = CodeCache()
+        _, jit1 = engines_for(self.SRC, code_cache=cache)
+        (p,) = ptr_args(jit1, [np.ones(8)])
+        assert jit1.call("f", [p, 8]) == 8.0
+        (fp,) = cache._code
+        filler = compile("pass", "<filler>", "exec")
+        cache.put("recent", "pass", filler)
+        assert cache.get(fp) is not None  # now the most recently used
+        for i in range(CODE_CACHE_ENTRIES - 2):
+            cache.put(f"filler{i}", "pass", filler)
+        assert cache.stats()["evictions"] == 0
+        cache.put("one-more", "pass", filler)
+        # "recent" was the least recently used entry, not f's code.
+        assert cache.stats()["evictions"] == 1
+        assert cache.get("recent") is None
+        for i in range(CODE_CACHE_ENTRIES):
+            cache.put(f"more{i}", "pass", filler)
+        assert len(cache._code) == CODE_CACHE_ENTRIES
+        assert cache.get(fp) is None
+        compiles = cache.stats()["compiles"]
+        _, jit2 = engines_for(self.SRC, code_cache=cache)
+        (p,) = ptr_args(jit2, [np.ones(8)])
+        assert jit2.call("f", [p, 8]) == 8.0
+        assert jit2.jit_compiled() == ["f"]
+        assert cache.stats()["compiles"] == compiles + 1
+        assert cache.get(fp) is not None
 
     def test_source_persisted_under_old_version_misses(self, tmp_path,
                                                        monkeypatch):

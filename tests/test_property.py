@@ -217,3 +217,108 @@ double f(int n, double *x) {{
     m = compile_c(src)
     optimize(m)
     assert detect_idioms(m).by_idiom() == {"Reduction": 1}
+
+
+# ---------------------------------------------------------------------------
+# Function.unique_name keeps an exact name index: after any sequence of
+# block and instruction edits and renames it answers exactly what a full
+# scan of the function's names answers.
+# ---------------------------------------------------------------------------
+
+_NAMES = ["", "t", "t0", "t1", "t2", "bb", "bb0", "bb1", "x", "x0", "a"]
+
+
+def _full_scan_unique_name(function, base):
+    """The full-scan algorithm the index replaced: ``(name, counter)``."""
+    existing = {b.name for b in function.blocks}
+    for inst in function.instructions():
+        if inst.name:
+            existing.add(inst.name)
+    for arg in function.args:
+        existing.add(arg.name)
+    counter = function._name_counter
+    if base and base not in existing:
+        return base, counter
+    while True:
+        candidate = f"{base}{counter}"
+        counter += 1
+        if candidate not in existing:
+            return candidate, counter
+
+
+def _checked_unique_name(function, base):
+    expected, counter = _full_scan_unique_name(function, base)
+    assert function.unique_name(base) == expected
+    assert function._name_counter == counter
+    return expected
+
+
+_edit = st.tuples(
+    st.sampled_from(["append_block", "remove_block", "reattach_block",
+                     "insert", "insert_named", "remove_inst", "move_inst",
+                     "rename_inst", "rename_block", "rename_arg",
+                     "rename_detached"]),
+    st.integers(0, 7), st.integers(0, 7), st.sampled_from(_NAMES[1:]),
+    st.sampled_from(_NAMES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_edit, max_size=30))
+def test_unique_name_matches_full_scan(edits):
+    from repro.ir import BinaryOperator, FunctionType, Module, const_int
+
+    function = Module().create_function(
+        "f", FunctionType(I32, [I32, I32]), arg_names=["a", "x"])
+    detached_blocks = []
+    detached_insts = []
+
+    def new_inst():
+        return BinaryOperator("add", const_int(0), const_int(1))
+
+    for _ in range(2):
+        block = function.append_block()
+        for _ in range(2):
+            inst = new_inst()
+            inst.name = function.unique_name("t")
+            block.append(inst)
+
+    for op, i, j, base, name in edits:
+        blocks = function.blocks
+        insts = [inst for b in blocks for inst in b.instructions]
+        if op == "append_block":
+            block = function.append_block(_checked_unique_name(function,
+                                                               base))
+        elif op == "remove_block" and blocks:
+            block = blocks[i % len(blocks)]
+            function.remove_block(block)
+            detached_blocks.append(block)
+        elif op == "reattach_block" and detached_blocks:
+            block = detached_blocks.pop(i % len(detached_blocks))
+            block.append(new_inst())  # edits while detached count nowhere
+            block.instructions[-1].name = name
+            function.add_block(block)
+        elif op in ("insert", "insert_named") and blocks:
+            block = blocks[i % len(blocks)]
+            inst = new_inst()
+            inst.name = (_checked_unique_name(function, base)
+                         if op == "insert" else name)
+            block.insert(j % (len(block.instructions) + 1), inst)
+        elif op == "remove_inst" and insts:
+            inst = insts[i % len(insts)]
+            inst.parent.remove(inst)
+            detached_insts.append(inst)
+        elif op == "move_inst" and insts:
+            inst = insts[i % len(insts)]
+            inst.parent.remove(inst)
+            target = blocks[j % len(blocks)]
+            target.insert(len(target.instructions), inst)
+        elif op == "rename_inst" and insts:
+            insts[i % len(insts)].name = name
+        elif op == "rename_block" and blocks:
+            blocks[i % len(blocks)].name = name
+        elif op == "rename_arg":
+            function.args[i % 2].name = name
+        elif op == "rename_detached" and detached_insts:
+            detached_insts[i % len(detached_insts)].name = name
+        for probe in _NAMES:
+            _checked_unique_name(function, probe)
