@@ -137,9 +137,9 @@ class ArtifactStore:
     #: "lru" (least-recently-accessed first) or "generational"
     #: (never-read entries first, then LRU among read ones).
     eviction: str = "lru"
-    #: Serializes stats and index updates — lookups run from
-    #: DetectionSession worker threads, and unsynchronized ``+=`` would
-    #: lose counts.
+    #: Serializes stats and index updates — lookups run from concurrent
+    #: service dispatcher threads, and unsynchronized ``+=`` would lose
+    #: counts.
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
     #: key -> _Entry, built lazily by scanning the objects tree (stat

@@ -20,9 +20,8 @@ Three stanzas:
   reports for the mutated modules are bit-identical to fresh no-cache
   solves of the edited IR.
 * **matrix** — cold vs warm bit-identity for every solve ordering
-  (``forest`` / ``plan`` / ``dynamic``) crossed with serial, thread-pool
-  and process-pool detection, sharing one store (the per-ordering config
-  signatures keep their entries apart).
+  (``forest`` / ``plan`` / ``dynamic``), sharing one store (the
+  per-ordering config signatures keep their entries apart).
 
 CI runs the smoke variant on the full suite and fails if cold and warm
 match sets diverge anywhere, if an edit round re-solves anything besides
@@ -48,9 +47,6 @@ from .timing import best_of
 #: Timing repetitions; best-of, as everywhere in the benchmarks
 #: (--check raises it).
 REPEATS = 3
-
-#: The matrix' worker-pool flavours: (workers, mode).
-POOLS = ((1, "thread"), (2, "thread"), (2, "process"))
 
 
 def _function_count(module) -> int:
@@ -183,7 +179,7 @@ def run_benchmark(workload_names: list[str] | None = None,
         "rounds_detail": detail,
     }
 
-    # -- ordering x worker-pool matrix ---------------------------------------
+    # -- ordering matrix ------------------------------------------------------
     # The edit session mutated the IR in place, so the matrix measures the
     # edited suite; every configuration still populates and replays its
     # own entries (per-config signatures) against identical cold solves.
@@ -199,37 +195,29 @@ def run_benchmark(workload_names: list[str] | None = None,
                                   indexed=indexed)
         cache_cfg = IdiomDetector(ordering=ordering, memo=memo,
                                   indexed=indexed, cache=store)
-        for workers, mode in POOLS:
-            key = f"{ordering}/{mode}x{workers}"
-            cold_s = warm_s = 0.0
-            for name, module in modules:
-                cold = DetectionSession(plain_cfg, workers=workers,
-                                        mode=mode)
-                seconds, cold_report = best_of(
-                    lambda: cold.detect(module), 1)
-                cold_s += seconds
-                DetectionSession(cache_cfg, workers=workers,
-                                 mode=mode).detect(module)  # populate
-                warm = DetectionSession(cache_cfg, workers=workers,
-                                        mode=mode)
-                seconds, warm_report = best_of(
-                    lambda: warm.detect(module), 1)
-                warm_s += seconds
-                if warm.cache_misses != 0:
-                    raise AssertionError(
-                        f"{name}: {key} warm run re-solved "
-                        f"{warm.cache_misses} functions")
-                if report_fingerprint(cold_report, by_identity=False) != \
-                        report_fingerprint(warm_report,
-                                           by_identity=False):
-                    raise AssertionError(
-                        f"{key}: cold and warm match sets diverge "
-                        f"on {name}")
-            matrix[key] = {
-                "cold_seconds": round(cold_s, 4),
-                "warm_seconds": round(warm_s, 4),
-                "identical": True,  # divergence raises above
-            }
+        cold_s = warm_s = 0.0
+        for name, module in modules:
+            cold = DetectionSession(plain_cfg)
+            seconds, cold_report = best_of(lambda: cold.detect(module), 1)
+            cold_s += seconds
+            DetectionSession(cache_cfg).detect(module)  # populate
+            warm = DetectionSession(cache_cfg)
+            seconds, warm_report = best_of(lambda: warm.detect(module), 1)
+            warm_s += seconds
+            if warm.cache_misses != 0:
+                raise AssertionError(
+                    f"{name}: {ordering} warm run re-solved "
+                    f"{warm.cache_misses} functions")
+            if report_fingerprint(cold_report, by_identity=False) != \
+                    report_fingerprint(warm_report, by_identity=False):
+                raise AssertionError(
+                    f"{ordering}: cold and warm match sets diverge "
+                    f"on {name}")
+        matrix[ordering] = {
+            "cold_seconds": round(cold_s, 4),
+            "warm_seconds": round(warm_s, 4),
+            "identical": True,  # divergence raises above
+        }
 
     return {
         "workloads": rows,

@@ -21,9 +21,9 @@ workloads in three configurations::
   the function-wide subquery memo.
 
 Every run verifies that all measured configurations (and, in full mode,
-the seed's dynamic ordering plus thread/process worker pools) produce
-bit-identical match sets. The ``value_key`` stanza measures the solver's
-interned dedup keys against the uncached computation they replaced.
+the seed's dynamic ordering) produce bit-identical match sets. The
+``value_key`` stanza measures the solver's interned dedup keys against
+the uncached computation they replaced.
 
 CI runs the smoke variant, which re-measures plan vs forest only and
 fails if the forest is slower than the session plan executor on the same
@@ -41,7 +41,7 @@ import sys
 import time
 
 from ..analysis.info import FunctionAnalyses
-from ..idioms import DetectionSession, IdiomDetector, report_fingerprint
+from ..idioms import IdiomDetector, report_fingerprint
 from ..idl.atoms import value_key
 from ..ir.values import ConstantFloat, ConstantInt
 from .suites import compile_suite
@@ -150,13 +150,6 @@ def run_benchmark(workload_names: list[str] | None = None,
                 raise AssertionError(
                     f"{workload.name}: forest and dynamic match sets "
                     f"diverge")
-            workers_report = DetectionSession(forest_det, workers=2) \
-                .detect(module)
-            if report_fingerprint(workers_report) != \
-                    report_fingerprint(forest_report):
-                raise AssertionError(
-                    f"{workload.name}: forest match sets depend on the "
-                    f"worker count")
             row["independent_seconds"] = round(independent_s, 4)
             row["speedup_vs_independent"] = round(
                 independent_s / max(forest_s, 1e-9), 2)
@@ -177,16 +170,6 @@ def run_benchmark(workload_names: list[str] | None = None,
         suite["independent_seconds"] = round(independent_total, 4)
         suite["speedup_vs_independent"] = round(
             independent_total / max(forest_total, 1e-9), 2)
-        # Process-pool spot check on one representative module: decoded
-        # matches must be structurally identical to the in-process ones.
-        name, module = modules[0]
-        process_report = DetectionSession(forest_det, workers=2,
-                                          mode="process").detect(module)
-        serial_report = forest_det.detect(module)
-        if report_fingerprint(process_report, by_identity=False) != \
-                report_fingerprint(serial_report, by_identity=False):
-            raise AssertionError(
-                f"{name}: process-mode forest match sets diverge")
         result["value_key"] = _value_key_bench(modules)
     result["suite"] = suite
     return result

@@ -18,11 +18,13 @@ Stanzas:
   to amortise anything, so per-text cost × request count is exact).
 * **service** — the same request stream submitted concurrently from
   tenant threads to a resident :class:`~repro.service.DetectionService`
-  (per worker-pool flavour: serial / thread / process). Reports are
-  asserted bit-identical to the cold baseline per request — structural
-  wire fingerprints (request and baseline parse the text independently)
-  plus solver-stats equality. Reported: sustained requests/sec,
-  p50/p95 latency, dedupe ratio, store hit rate.
+  with its default configuration. Reports are asserted bit-identical to
+  the cold baseline per request — structural wire fingerprints (request
+  and baseline parse the text independently) plus solver-stats
+  equality. Reported: sustained requests/sec, p50/p95 latency, dedupe
+  ratio, store hit rate.
+* **restart** — the service stanza replayed by a second service on the
+  first one's store directory: everything must come from the store.
 * **eviction** — the service run again against a store squeezed under a
   tiny byte budget: evictions must occur, every evicted entry must come
   back as a clean miss (re-solve), never an error, and reports stay
@@ -50,10 +52,6 @@ from ..service import DetectionService, ServiceConfig
 from ..service.wire import report_wire_fingerprint
 from .suites import compile_suite
 from .timing import best_of, summarize_latencies
-
-#: Worker-pool flavours exercised by the service stanza.
-POOLS = ((1, "thread"), (2, "thread"), (2, "process"))
-
 
 def _edit(text: str, tenant: int) -> str:
     """A tenant-private edit: parse, add a dead (fingerprint-changing)
@@ -188,18 +186,13 @@ def run_benchmark(workload_names: list[str] | None = None,
     distinct, requests = build_traffic(workload_names, tenants, rounds)
     cold, reference = cold_baseline(distinct, requests)
 
-    service_rows: dict[str, dict] = {}
-    for workers, mode in POOLS:
-        with tempfile.TemporaryDirectory(
-                prefix="repro-bench-service-") as cache_dir:
-            config = ServiceConfig(workers=workers, mode=mode,
-                                   cache_dir=cache_dir,
-                                   batch_window_s=0.004)
-            with DetectionService(config) as service:
-                row = drive_service(service, requests, reference, tenants)
-        row["speedup_vs_cold"] = round(
-            row["requests_per_s"] / max(cold["requests_per_s"], 1e-9), 2)
-        service_rows[f"{mode}x{workers}"] = row
+    with tempfile.TemporaryDirectory(
+            prefix="repro-bench-service-") as cache_dir:
+        config = ServiceConfig(cache_dir=cache_dir, batch_window_s=0.004)
+        with DetectionService(config) as service:
+            served = drive_service(service, requests, reference, tenants)
+    served["speedup_vs_cold"] = round(
+        served["requests_per_s"] / max(cold["requests_per_s"], 1e-9), 2)
 
     # Restart stanza: the store tier only shows once the in-memory
     # tiers (parse cache -> shared modules) are gone — a new service on
@@ -242,7 +235,7 @@ def run_benchmark(workload_names: list[str] | None = None,
             "distinct_texts": len(distinct),
         },
         "cold": cold,
-        "service": service_rows,
+        "service": served,
         "restart": restart,
         "eviction": eviction,
     }
@@ -252,18 +245,18 @@ def check_regression(result: dict, min_speedup: float) -> list[str]:
     """Failures for the CI gate (identity divergence raises inside
     run_benchmark itself, naming the tenant)."""
     failures = []
-    for key, row in result["service"].items():
-        if row["speedup_vs_cold"] < min_speedup:
-            failures.append(
-                f"service {key}: {row['requests_per_s']} req/s is only "
-                f"{row['speedup_vs_cold']}x the cold baseline "
-                f"(< {min_speedup}x)")
-        if row["errors"]:
-            failures.append(f"service {key}: {row['errors']} errors")
-        served = (row["store_hits"] + row["batch_dedupe_hits"] +
-                  row["inflight_hits"] + row["module_dedupe_hits"])
-        if served == 0:
-            failures.append(f"service {key}: no dedupe at all")
+    row = result["service"]
+    if row["speedup_vs_cold"] < min_speedup:
+        failures.append(
+            f"service: {row['requests_per_s']} req/s is only "
+            f"{row['speedup_vs_cold']}x the cold baseline "
+            f"(< {min_speedup}x)")
+    if row["errors"]:
+        failures.append(f"service: {row['errors']} errors")
+    served = (row["store_hits"] + row["batch_dedupe_hits"] +
+              row["inflight_hits"] + row["module_dedupe_hits"])
+    if served == 0:
+        failures.append("service: no dedupe at all")
     restart = result["restart"]
     if restart["errors"]:
         failures.append(f"restart: {restart['errors']} errors")
@@ -313,15 +306,15 @@ def main(argv: list[str] | None = None) -> int:
     print(f"cold     {cold['requests']} requests at "
           f"{cold['requests_per_s']:.2f} req/s "
           f"({cold['distinct_texts']} distinct modules)")
-    for key, row in result["service"].items():
-        lat = row["latency"]
-        print(f"{key:9s} {row['requests_per_s']:8.2f} req/s "
-              f"({row['speedup_vs_cold']:.1f}x cold)  "
-              f"p50={lat['p50_s'] * 1e3:.1f}ms p95={lat['p95_s'] * 1e3:.1f}ms  "
-              f"solved={row['solved_functions']} "
-              f"store={row['store_hits']} dedupe={row['batch_dedupe_hits']}"
-              f"+{row['module_dedupe_hits']}mod "
-              f"ratio={row['dedupe_ratio']:.2f}")
+    row = result["service"]
+    lat = row["latency"]
+    print(f"service  {row['requests_per_s']:8.2f} req/s "
+          f"({row['speedup_vs_cold']:.1f}x cold)  "
+          f"p50={lat['p50_s'] * 1e3:.1f}ms p95={lat['p95_s'] * 1e3:.1f}ms  "
+          f"solved={row['solved_functions']} "
+          f"store={row['store_hits']} dedupe={row['batch_dedupe_hits']}"
+          f"+{row['module_dedupe_hits']}mod "
+          f"ratio={row['dedupe_ratio']:.2f}")
     restart = result["restart"]
     print(f"restart  {restart['requests_per_s']:8.2f} req/s "
           f"({restart['speedup_vs_cold']:.1f}x cold)  "

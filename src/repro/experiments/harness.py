@@ -96,11 +96,6 @@ class WorkloadEvaluation:
 
 _CACHE: dict[str, WorkloadEvaluation] = {}
 
-#: Detection worker-pool defaults, settable from the CLI (``--workers``).
-#: The report is identical at any worker count, so cached evaluations stay
-#: valid across settings.
-DETECT_WORKERS = 1
-DETECT_MODE = "thread"
 #: Solve configuration (``--ordering``): the cross-idiom plan forest by
 #: default; "plan" (per-idiom static plans) and "dynamic" (the seed's
 #: per-step ordering) produce bit-identical reports, more slowly.
@@ -119,21 +114,6 @@ def default_engine() -> str:
     if env and env in ENGINES:
         return env
     return DEFAULT_ENGINE
-
-
-def default_workers() -> int:
-    """``$REPRO_WORKERS`` if set to a positive integer, else 1 — the
-    ``--workers`` default, mirroring ``$REPRO_ENGINE``/``$REPRO_CACHE_DIR``
-    so CI matrices select a pool size without editing command lines."""
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            return 1
-        if value >= 1:
-            return value
-    return 1
 
 
 ENGINE = default_engine()
@@ -158,7 +138,7 @@ CACHE_STORE = None
 #: Detection supervision (``--deadline`` / ``--max-retries``): a
 #: per-function solve wall-clock bound — overruns degrade to partial
 #: results flagged in ``report.outcomes`` — and the retry budget for
-#: transient worker failures (see :mod:`repro.reliability.supervisor`).
+#: transient failures (see :mod:`repro.reliability.supervisor`).
 DEADLINE_S: float | None = None
 MAX_RETRIES = 2
 
@@ -191,24 +171,18 @@ def load_active_profile(path: str | None = None, calibrate: bool = False,
 
 def evaluate_workload(workload: Workload, scale: int | None = None,
                       execute: bool = True,
-                      workers: int | None = None,
                       engine: str | None = None) -> WorkloadEvaluation:
     """Compile, detect, (optionally) run original + accelerated versions."""
-    effective_workers = DETECT_WORKERS if workers is None else workers
     scale = SCALE if scale is None else scale
     engine = ENGINE if engine is None else engine
-    # The report is worker-count independent, but the recorded detection
-    # wall clock is not — keep the pool config in the cache key.
     backends_key = "*" if BACKENDS is None else ",".join(sorted(BACKENDS))
-    key = f"{workload.name}@{scale}:{execute}:{effective_workers}:" \
-          f"{DETECT_MODE}:{DETECT_ORDERING}:{engine}:{JIT_THRESHOLD}:" \
+    key = f"{workload.name}@{scale}:{execute}:" \
+          f"{DETECT_ORDERING}:{engine}:{JIT_THRESHOLD}:" \
           f"{backends_key}:{CACHE_DIR}:{DEADLINE_S}:{MAX_RETRIES}"
     if key in _CACHE:
         return _CACHE[key]
     compiled = compile_workload(
         workload.name, workload.source,
-        workers=effective_workers,
-        detect_mode=DETECT_MODE,
         ordering=DETECT_ORDERING,
         verify=False,
         cache_dir=CACHE_STORE if CACHE_STORE is not None else CACHE_DIR,
@@ -642,9 +616,9 @@ def print_cache_stats() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    global DETECT_WORKERS, DETECT_MODE, DETECT_ORDERING, ENGINE, SCALE, \
-        JIT_THRESHOLD, BACKENDS, PLACEMENT, CACHE_DIR, CACHE_STORE, \
-        DEADLINE_S, MAX_RETRIES, PROFILE, PROFILE_PATH
+    global DETECT_ORDERING, ENGINE, SCALE, JIT_THRESHOLD, BACKENDS, \
+        PLACEMENT, CACHE_DIR, CACHE_STORE, DEADLINE_S, MAX_RETRIES, \
+        PROFILE, PROFILE_PATH
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -654,13 +628,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true",
                         help="print available workloads, engines, backends "
                              "and placement strategies, then exit")
-    parser.add_argument("--workers", type=int, default=default_workers(),
-                        help="detection worker pool size (default "
-                             f"{default_workers()}, override with "
-                             "$REPRO_WORKERS)")
-    parser.add_argument("--detect-mode", choices=["thread", "process"],
-                        default="thread",
-                        help="worker pool flavour for detection")
     parser.add_argument("--ordering",
                         choices=["forest", "plan", "dynamic"],
                         default=DETECT_ORDERING,
@@ -711,9 +678,9 @@ def main(argv: list[str] | None = None) -> int:
                              "overruns yield partial results flagged in "
                              "the report outcomes (default: none)")
     parser.add_argument("--max-retries", type=int, default=2, metavar="N",
-                        help="retry budget for transient detection "
-                             "worker failures before the session "
-                             "degrades to a safer tier (default 2)")
+                        help="retries per function for transient "
+                             "detection failures before the error "
+                             "propagates (default 2)")
     parser.add_argument("--profile", default=None, metavar="PATH",
                         help="load a measured calibration profile (JSON "
                              "written by --calibrate) and cost every "
@@ -741,8 +708,6 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown backends: {', '.join(unknown)} "
                          f"(choose from {', '.join(sorted(known))})")
-    DETECT_WORKERS = args.workers
-    DETECT_MODE = args.detect_mode
     DETECT_ORDERING = args.ordering
     ENGINE = args.engine
     SCALE = args.scale

@@ -62,9 +62,6 @@ class IdiomDetector:
                  cache=None):
         if ordering not in ("forest", "plan", "dynamic"):
             raise IDLError(f"unknown ordering {ordering!r}")
-        #: Process-mode workers rebuild the detector from configuration
-        #: alone, which only works for the standard library.
-        self.standard_library = compiler is None
         if compiler is None:
             compiler = IdiomCompiler(
                 memo_specs=None if memo else frozenset())
@@ -144,20 +141,16 @@ class IdiomDetector:
         return self
 
     # -- public API ---------------------------------------------------------------
-    def detect(self, module: Module, workers: int = 1,
-               mode: str = "thread",
-               deadline_s: float | None = None,
+    def detect(self, module: Module, deadline_s: float | None = None,
                max_retries: int = 2) -> DetectionReport:
-        """Detect across a module; ``workers > 1`` fans functions out over
-        a :class:`~repro.idioms.scheduler.DetectionSession` worker pool
-        (same report, deterministic merge order). ``deadline_s`` bounds
-        each function's solve wall-clock (overruns degrade to partial
-        results); ``max_retries`` bounds the session's retry ladder for
-        transient worker failures."""
+        """Detect across a module through one
+        :class:`~repro.idioms.scheduler.DetectionSession`. ``deadline_s``
+        bounds each function's solve wall-clock (overruns degrade to
+        partial results); ``max_retries`` bounds the retries of a
+        transient failure per function."""
         from .scheduler import DetectionSession
 
-        return DetectionSession(self, workers=workers, mode=mode,
-                                deadline_s=deadline_s,
+        return DetectionSession(self, deadline_s=deadline_s,
                                 max_retries=max_retries).detect(module)
 
     def detect_function(self, function: Function,
@@ -316,9 +309,7 @@ def _resolve_overlaps(matches: list[IdiomMatch]) -> list[IdiomMatch]:
     return kept
 
 
-def detect_idioms(module: Module, workers: int = 1,
-                  mode: str = "thread",
+def detect_idioms(module: Module,
                   cache_dir: str | None = None) -> DetectionReport:
     """One-shot convenience: build a detector and run it."""
-    return IdiomDetector(cache=cache_dir).detect(module, workers=workers,
-                                                 mode=mode)
+    return IdiomDetector(cache=cache_dir).detect(module)

@@ -1,60 +1,44 @@
-"""Detection scheduling: one compiled plan set, batched functions, a
-supervised worker pool.
+"""Detection scheduling: one compiled plan set, one supervised serial flow.
 
-A :class:`DetectionSession` is the unit of repository-scale detection the
-ROADMAP's scaling work builds on: it compiles every idiom's execution plan
-once, shares one :class:`FunctionAnalyses` per function across all idioms,
-batches the module's functions, and fans the batches out over a
-``concurrent.futures`` pool. Results are merged back in module order, so a
-parallel session produces a :class:`DetectionReport` identical to the
-sequential one — same matches, same order.
+A :class:`DetectionSession` is the unit of repository-scale detection:
+it compiles every idiom's execution plan once, gives each function one
+:class:`FunctionAnalyses` shared by all idioms, and runs one flow — store
+check → supervised solve → merge — for one module (:meth:`detect`) or
+for several at once (:meth:`detect_many`, the serving layer's micro-batch
+unit). ``detect(m)`` is ``detect_many([m], dedupe=False)[0]``.
 
-Two pool flavours:
-
-* ``mode="thread"`` shares the IR in place; matches reference the caller's
-  objects directly.
-* ``mode="process"`` ships each batch as textual IR (the printer/parser
-  round-trip preserves block and instruction order), detects in the worker
-  process, and sends solutions back as structural locators that are decoded
-  against the caller's module — so even process-mode matches point at the
-  caller's IR objects. Only the standard idiom library is supported there,
-  because workers rebuild the detector from configuration alone.
+Functions are solved serially in the calling thread. The solver is pure
+Python under the GIL, so in-session thread and process pools measured
+slower than serial at every realistic size; concurrency lives between
+sessions instead (the service's dispatchers run one session per batch).
 
 Execution is **supervised** (:mod:`repro.reliability.supervisor`): every
-function gets a wall-clock deadline (``deadline_s``, in-band via
-:class:`~repro.errors.SolveTimeout` plus out-of-band batch timeouts in
-process mode), transient worker failures are retried with backoff
-(``max_retries``), a dead worker pool is respawned for just the unfinished
-functions, and a tier that keeps failing degrades process → thread →
-serial. The session always returns a complete report — every function
-appears, in module order — and ``report.outcomes`` /
-``session.outcomes`` records what it took per function (ok, cache-hit,
-retried, timed-out-partial, degraded).
+function gets an in-band wall-clock deadline (``deadline_s``, via
+:class:`~repro.errors.SolveTimeout`) and transient failures are retried
+with backoff (``max_retries``). The session always returns a complete
+report — every function appears, in module order — and each report's
+``outcomes`` records what it took per function of that module (ok,
+cache-hit, retried, timed-out-partial, dedupe-hit, inflight-hit).
 
 When the detector carries an artifact cache (:mod:`repro.cache`), the
-session consults it *before* scheduling: every function whose fingerprint
+session consults it *before* solving: every function whose fingerprint
 has a stored entry is served from disk (matches decoded against the
 caller's IR, solve stats restored), and only the remaining functions are
-batched out to workers — whatever the pool flavour. Freshly solved
-functions are written back — except timed-out partial results, which must
-never be served as the function's truth later — and hits and fresh solves
-are merged in module order, so the report is bit-identical to a cold
-run's: same matches, same order, same aggregated stats.
+solved. Freshly solved functions are written back — except timed-out
+partial results, which must never be served as the function's truth
+later — and hits and fresh solves are merged in module order, so the
+report is bit-identical to a cold run's: same matches, same order, same
+aggregated stats.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 
 from ..analysis.info import FunctionAnalyses
 from ..errors import IDLError
-from ..idl.solver import SolveLimits, SolverStats
-from ..ir.instructions import Instruction
-from ..ir.module import Function, Module
-from ..ir.printer import print_module
-from ..ir.types import parse_type
-from ..ir.values import Argument, ConstantFloat, ConstantInt, GlobalVariable
+from ..ir.module import Module
 from ..reliability import faults
 from ..reliability.supervisor import (
     FunctionOutcome,
@@ -62,7 +46,7 @@ from ..reliability.supervisor import (
     SessionOutcomes,
     Supervisor,
 )
-from .matches import DetectionReport, IdiomMatch
+from .matches import DetectionReport
 
 
 class InflightLedger:
@@ -112,11 +96,12 @@ class InflightLedger:
 
 
 class _Job:
-    """One function of one module inside a cross-module fan-out.
+    """One function of one module inside a fan-out.
 
-    ``uid`` doubles as the supervisor-facing ``name`` — function names
-    collide across tenants' modules, so supervisor bookkeeping (and the
-    session's ``analyses`` map) key on the module-qualified uid."""
+    ``uid`` doubles as the supervisor-facing ``name``. Function names
+    collide across tenants' modules, so with several modules the uid is
+    module-qualified (``m<index>:<name>``); with one module it is the
+    plain function name."""
 
     __slots__ = ("uid", "function", "module", "index", "text",
                  "globals_sig", "key")
@@ -137,288 +122,196 @@ class _Job:
 
 
 class DetectionSession:
-    """Shared-plan, batched, supervised, optionally parallel detection."""
+    """Shared-plan, supervised, serial detection over one or more
+    modules."""
 
-    def __init__(self, detector=None, workers: int = 1,
-                 mode: str = "thread", batch_size: int | None = None,
-                 deadline_s: float | None = None, max_retries: int = 2,
-                 backoff_s: float = 0.05):
+    def __init__(self, detector=None, deadline_s: float | None = None,
+                 max_retries: int = 2, backoff_s: float = 0.05):
         if detector is None:
             from .detector import IdiomDetector
 
             detector = IdiomDetector()
-        if mode not in ("thread", "process"):
-            raise IDLError(f"unknown detection mode {mode!r}")
-        if mode == "process" and not detector.standard_library:
-            # Fail at construction, not first use: a process session with
-            # a custom compiler would otherwise silently run the standard
-            # library (workers rebuild the detector from configuration).
-            raise IDLError(
-                "process-mode detection supports the standard idiom "
-                "library only (workers rebuild the detector from "
-                "configuration); use mode='thread' for custom compilers")
         self.detector = detector
-        self.workers = max(1, int(workers))
-        self.mode = mode
-        self.batch_size = batch_size
         self.policy = RetryPolicy(deadline_s=deadline_s,
                                   max_retries=max(0, int(max_retries)),
                                   backoff_s=backoff_s)
-        #: Per-function reliability records for the most recent detect()
-        #: call (also attached to the report as ``report.outcomes``).
+        #: Per-function reliability records for the most recent call,
+        #: keyed by job uid (plain function names for one module, where
+        #: this is also the report's ``outcomes``).
         self.outcomes = SessionOutcomes()
-        #: FunctionAnalyses per function name, reset and refilled by each
-        #: detect() call (thread/serial modes; process workers keep theirs)
-        #: for reuse by later pipeline stages. Cache-served functions have
-        #: no entry — nothing was analysed for them.
+        #: FunctionAnalyses per job uid, reset and refilled by each call
+        #: for reuse by later pipeline stages. Functions served from the
+        #: store or replayed from a duplicate have no entry — nothing was
+        #: analysed for them.
         self.analyses: dict[str, FunctionAnalyses] = {}
-        #: Artifact-cache accounting for the most recent detect() call:
-        #: functions served from the store vs actually solved (always 0 /
-        #: all-functions without a cache).
+        #: Artifact-cache accounting for the most recent call: functions
+        #: served from the store vs not (always 0 / all-functions without
+        #: a cache).
         self.cache_hits = 0
         self.cache_misses = 0
-        #: detect_many() dedupe accounting: functions replayed from an
-        #: identical function solved in the same fan-out / from another
-        #: session's in-flight future, and functions actually solved.
+        #: Dedupe accounting: functions replayed from an identical
+        #: function solved in the same fan-out / from another session's
+        #: in-flight future, and functions actually solved.
         self.dedupe_hits = 0
         self.inflight_hits = 0
         self.solved_functions = 0
-        self._globals_sig: str | None = None
-        #: Canonical text per function name, printed once per detect()
-        #: call and shared by every fingerprint derived from it.
-        self._canonical: dict[str, str] = {}
 
     # -- public API ---------------------------------------------------------------
     def detect(self, module: Module) -> DetectionReport:
-        functions = [f for f in module.functions.values()
-                     if not f.is_declaration()]
-        report = DetectionReport(module.name)
-        self.analyses = {}
-        self.cache_hits = self.cache_misses = 0
-        self.dedupe_hits = self.inflight_hits = self.solved_functions = 0
-        self._globals_sig = None
-        self.outcomes = SessionOutcomes()
-        report.outcomes = self.outcomes
-        if not functions:
-            return report
-        plan = faults.active_plan()
-        fired_before = len(plan.fired) if plan is not None else 0
-        cache = self.detector.cache
-        warm: dict[str, object] = {}
-        self._canonical = {}
-        if cache is not None:
-            from ..cache.fingerprint import globals_signature
-            from ..ir.printer import print_function_canonical
-
-            self._globals_sig = globals_signature(module)
-            for function in functions:
-                text = print_function_canonical(function)
-                self._canonical[function.name] = text
-                entry = cache.load(function, module, self._globals_sig,
-                                   text)
-                if entry is not None:
-                    warm[function.name] = entry
-            cold = [f for f in functions if f.name not in warm]
-            self.cache_hits = len(warm)
-        else:
-            cold = functions
-        self.cache_misses = self.solved_functions = len(cold)
-        for name in warm:
-            self.outcomes.record(
-                FunctionOutcome(name, "cache-hit", "cache", attempts=0))
-        solved: dict[str, tuple] = {}
-        if cold:
-            # Lower and plan every idiom up front, whatever the ordering:
-            # workers must only read the compiler caches (the shared
-            # Lowerer's memo machinery, like the forest builder, is not
-            # safe to run concurrently).
-            self.detector.compiler.prepare(
-                self.detector.idioms, memo=self.detector.memo,
-                forest=self.detector.ordering == "forest")
-            mode = "serial" if self.workers <= 1 else self.mode
-            supervisor = Supervisor(self.policy, self.outcomes,
-                                    mode=mode, workers=self.workers)
-            kwargs = self._process_callbacks(module) \
-                if mode == "process" else {}
-            rows = supervisor.run(cold, self._solve_one, self._batches,
-                                  **kwargs)
-            for fname, matches, stats, summary in rows.values():
-                solved[fname] = (matches, stats, summary)
-            self._record_outcomes(cold, solved, supervisor)
-            if cache is not None:
-                # Process workers cannot consult the store, so they
-                # always return a summary; rewriting one that already
-                # exists is harmless (content-addressed puts of one key
-                # write identical bytes). The serial/thread path returns
-                # None for adopted summaries to skip the *recompute*.
-                for function in cold:
-                    matches, stats, summary = solved[function.name]
-                    if stats.timed_out:
-                        continue
-                    cache.save(function, matches, stats, summary,
-                               self._globals_sig,
-                               text=self._canonical.get(function.name))
-        if plan is not None:
-            for event in plan.fired[fired_before:]:
-                self.outcomes.note_fault(
-                    "fault injected at {site} (kind {kind}, occurrence "
-                    "{occurrence}, epoch {epoch}, key {key!r})"
-                    .format(**event))
-        # Deterministic merge in module order, hits and fresh solves
-        # interleaved — bit-identical to the all-cold report.
-        for function in functions:
-            entry = warm.get(function.name)
-            if entry is not None:
-                matches, stats = entry.matches, entry.stats
-            else:
-                matches, stats, _ = solved[function.name]
-            report.matches.extend(matches)
-            report.stats.merge(stats)
-        return report
+        """Detect across one module (no in-batch dedupe, no ledger)."""
+        return self.detect_many([module], dedupe=False)[0]
 
     def detect_many(self, modules, dedupe: bool = True,
                     inflight: InflightLedger | None = None
                     ) -> list[DetectionReport]:
-        """Detect across several modules in ONE supervised fan-out — the
-        serving layer's micro-batch unit.
+        """Detect across several modules in ONE supervised pass.
 
-        All modules' cold functions are batched into a single worker-pool
-        run (process batches stay module-homogeneous; uids disambiguate
-        colliding function names). Three dedupe tiers serve a function
-        without solving it, every one replaying the same structural wire
-        format so each module's report still references its own IR
-        objects:
+        Three tiers serve a function without solving it, every one
+        replaying the same structural wire format so each module's report
+        still references its own IR objects:
 
         1. the artifact store (when the detector carries a cache),
-        2. ``dedupe=True``: identical functions *within this fan-out* —
-           one representative per content fingerprint is solved, the
-           rest decode its encoded result (cross-tenant overlap),
-        3. ``inflight``: fingerprints another session is solving right
-           now — this session awaits that future instead of re-solving.
+        2. ``dedupe=True``: identical functions *within this call* — one
+           representative per content fingerprint is solved, the rest
+           decode its encoded result (cross-tenant overlap),
+        3. ``inflight`` (with ``dedupe``): fingerprints another session
+           is solving right now — this session awaits that future
+           instead of re-solving.
 
-        Results that cannot be replayed (timed-out partials, unencodable
-        bindings) fall back to a local solve, so dedupe can degrade but
-        never change a report. Per-module reports are merged in module
-        order and are bit-identical to per-module :meth:`detect` calls.
+        Canonical text and fingerprints are computed only when one of
+        these tiers needs them. Results that cannot be replayed
+        (timed-out partials, unencodable bindings) fall back to a
+        supervised solve, so dedupe can degrade but never change a
+        report. Per-module reports are merged in module order, each with
+        its own ``outcomes``, and are bit-identical to per-module
+        :meth:`detect` calls.
         """
-        from ..cache.detection import decode_detection, encode_detection
-        from ..cache.fingerprint import (
-            function_fingerprint,
-            globals_signature,
-        )
-        from ..ir.printer import print_function_canonical
+        from ..cache.detection import encode_detection
 
         modules = list(modules)
         self.analyses = {}
         self.cache_hits = self.cache_misses = 0
         self.dedupe_hits = self.inflight_hits = self.solved_functions = 0
         self.outcomes = SessionOutcomes()
-        cache = self.detector.cache
-        config_sig = self.detector.config_signature()
+        self._supervisor: Supervisor | None = None
+        self._cache = cache = self.detector.cache
+        self._plan = plan = faults.active_plan()
+        self._fired_seen = len(plan.fired) if plan is not None else 0
+        #: (module index, event) per injected fault, in firing order.
+        self._fired: list[tuple[int, dict]] = []
+        if not dedupe:
+            inflight = None
+        qualify = len(modules) > 1
+        fingerprinted = cache is not None or dedupe
+        if fingerprinted:
+            from ..cache.fingerprint import (
+                function_fingerprint,
+                globals_signature,
+            )
+            from ..ir.printer import print_function_canonical
+
+            config_sig = self.detector.config_signature() if dedupe \
+                else None
 
         results: dict[str, tuple] = {}  # uid -> (matches, stats)
         jobs_by_module: list[list[_Job]] = []
         cold: list[_Job] = []
         for index, module in enumerate(modules):
-            globals_sig = globals_signature(module)
+            globals_sig = globals_signature(module) if fingerprinted \
+                else None
             module_jobs: list[_Job] = []
             for function in module.functions.values():
                 if function.is_declaration():
                     continue
-                text = print_function_canonical(function)
-                key = function_fingerprint(function, config_sig,
-                                           globals_sig, text)
-                job = _Job(f"m{index}:{function.name}", function, module,
-                           index, text, globals_sig, key)
+                uid = f"m{index}:{function.name}" if qualify \
+                    else function.name
+                text = key = None
+                if fingerprinted:
+                    text = print_function_canonical(function)
+                    if dedupe:
+                        key = function_fingerprint(function, config_sig,
+                                                   globals_sig, text)
+                job = _Job(uid, function, module, index, text, globals_sig,
+                           key)
                 module_jobs.append(job)
                 entry = cache.load(function, module, globals_sig, text) \
                     if cache is not None else None
                 if entry is not None:
-                    results[job.uid] = (entry.matches, entry.stats)
+                    results[uid] = (entry.matches, entry.stats)
                     self.outcomes.record(FunctionOutcome(
-                        job.uid, "cache-hit", "cache", attempts=0))
+                        uid, "cache-hit", "cache", attempts=0))
                 else:
                     cold.append(job)
             jobs_by_module.append(module_jobs)
+            self._collect_fired(index)
         self.cache_hits = len(results)
         self.cache_misses = len(cold)
 
         # Tier 2/3 grouping: one group per content fingerprint. Without
-        # dedupe every job is its own group (the "!" prefix keeps two
-        # identical functions apart and out of any shared ledger key).
-        groups: dict[str, list[_Job]] = {}
-        for position, job in enumerate(cold):
-            group_key = job.key if dedupe else f"!{position}:{job.key}"
-            groups.setdefault(group_key, []).append(job)
+        # dedupe every job is its own group.
+        if dedupe:
+            groups: dict[str, list[_Job]] = {}
+            for job in cold:
+                groups.setdefault(job.key, []).append(job)
+        else:
+            groups = {job.uid: [job] for job in cold}
         owned: set[str] = set()
         waiting: dict[str, Future] = {}
-        if inflight is not None and dedupe:
+        if inflight is not None:
             for group_key in groups:
                 is_owner, future = inflight.claim(group_key)
                 if is_owner:
                     owned.add(group_key)
                 else:
                     waiting[group_key] = future
-        scheduled = [group[0] for group_key, group in groups.items()
-                     if group_key not in waiting]
 
-        solved: dict[str, tuple] = {}  # uid -> (matches, stats, summary)
+        unserved: list[_Job] = []  # replays that fell back to a solve
         try:
-            if scheduled:
-                self.detector.compiler.prepare(
-                    self.detector.idioms, memo=self.detector.memo,
-                    forest=self.detector.ordering == "forest")
-                mode = "serial" if self.workers <= 1 else self.mode
-                supervisor = Supervisor(self.policy, self.outcomes,
-                                        mode=mode, workers=self.workers)
-                kwargs = self._job_callbacks(scheduled) \
-                    if mode == "process" else {}
-                rows = supervisor.run(scheduled, self._solve_job,
-                                      self._job_batches, **kwargs)
-                for uid, matches, stats, summary in rows.values():
-                    solved[uid] = (matches, stats, summary)
-                self._record_outcomes(scheduled, solved, supervisor)
-                self.solved_functions += len(scheduled)
-
+            solved = self._supervise(
+                [group[0] for group_key, group in groups.items()
+                 if group_key not in waiting])
             for group_key, group in groups.items():
                 if group_key in waiting:
                     continue
                 representative = group[0]
                 matches, stats, summary = solved[representative.uid]
-                results[representative.uid] = (matches, stats)
-                if cache is not None and not stats.timed_out:
-                    cache.save(representative.function, matches, stats,
-                               summary, representative.globals_sig,
-                               text=representative.text)
+                self._keep(representative, (matches, stats, summary),
+                           results)
                 payload = None
                 if len(group) > 1 or group_key in owned:
                     payload = encode_detection(representative.function,
                                                matches, stats)
                 if group_key in owned:
                     inflight.publish(group_key, payload)
-                for duplicate in group[1:]:
-                    self._serve_job(duplicate, payload, results,
-                                    "dedupe-hit")
+                unserved += self._replay(group[1:], payload, results,
+                                         "dedupe-hit")
         finally:
-            if inflight is not None:
-                # Backstop: resolve any future this session still owns
-                # (solve failed before publishing) so waiters elsewhere
-                # fall back to their own solve instead of deadlocking.
-                for group_key in owned:
-                    inflight.publish(group_key, None)
+            # Backstop: resolve any future this session still owns
+            # (solve failed before publishing) so waiters elsewhere fall
+            # back to their own solve instead of deadlocking.
+            for group_key in owned:
+                inflight.publish(group_key, None)
 
         for group_key, future in waiting.items():
             try:
                 payload = future.result(timeout=inflight.wait_s)
             except Exception:
                 payload = None
-            for job in groups[group_key]:
-                self._serve_job(job, payload, results, "inflight-hit")
+            unserved += self._replay(groups[group_key], payload, results,
+                                     "inflight-hit")
+        if unserved:
+            solved = self._supervise(unserved)
+            for job in unserved:
+                self._keep(job, solved[job.uid], results)
 
+        for _, event in self._fired:
+            self.outcomes.note_fault(_describe(event))
         reports = []
-        for module, module_jobs in zip(modules, jobs_by_module):
+        for index, (module, module_jobs) in enumerate(
+                zip(modules, jobs_by_module)):
             report = DetectionReport(module.name)
-            report.outcomes = self.outcomes
+            report.outcomes = self._module_outcomes(module_jobs, index) \
+                if qualify else self.outcomes
             for job in module_jobs:
                 matches, stats = results[job.uid]
                 report.matches.extend(matches)
@@ -426,77 +319,45 @@ class DetectionSession:
             reports.append(report)
         return reports
 
-    def _serve_job(self, job: _Job, payload: dict | None,
-                   results: dict, status: str) -> None:
-        """Serve one deduped job from an encoded payload, falling back
-        to a local serial solve (recorded, cached) when the payload is
-        missing or does not decode."""
-        from ..cache.detection import decode_detection
+    # -- the flow's steps ---------------------------------------------------------
+    def _supervise(self, jobs: list[_Job]) -> dict:
+        """Solve ``jobs`` under the session's one supervisor (uid ->
+        (matches, stats, summary)) and record their outcomes."""
+        if not jobs:
+            return {}
+        supervisor = self._supervisor
+        if supervisor is None:
+            self.detector.compiler.prepare(
+                self.detector.idioms, memo=self.detector.memo,
+                forest=self.detector.ordering == "forest")
+            supervisor = self._supervisor = Supervisor(self.policy,
+                                                       self.outcomes)
+        rows = supervisor.run(jobs, self._solve_job)
+        self.solved_functions += len(jobs)
+        for job in jobs:
+            seen = tuple(supervisor.meta[job.uid]["faults"])
+            attempts = 1 + len(seen)
+            if rows[job.uid][1].timed_out:
+                status = "timed-out-partial"
+            elif attempts > 1:
+                status = "retried"
+            else:
+                status = "ok"
+            self.outcomes.record(FunctionOutcome(
+                job.uid, status, "serial", attempts=attempts, faults=seen))
+        return rows
 
-        if payload is not None:
-            try:
-                entry = decode_detection(payload, job.function, job.module)
-            except (IDLError, KeyError, IndexError, TypeError, ValueError):
-                entry = None
-            if entry is not None:
-                results[job.uid] = (entry.matches, entry.stats)
-                if status == "inflight-hit":
-                    self.inflight_hits += 1
-                else:
-                    self.dedupe_hits += 1
-                self.outcomes.record(FunctionOutcome(
-                    job.uid, status, "dedupe", attempts=0))
-                return
-        uid, matches, stats, summary = self._solve_job(job)
-        results[uid] = (matches, stats)
-        self.solved_functions += 1
-        cache = self.detector.cache
-        if cache is not None and not stats.timed_out:
-            cache.save(job.function, matches, stats, summary,
-                       job.globals_sig, text=job.text)
-        self.outcomes.record(FunctionOutcome(uid, "ok", "serial"))
-
-    # -- solving primitives -------------------------------------------------------
-    def _solve_one(self, function: Function, epoch: int = 0) -> tuple:
-        """Solve one function in-process (the serial/thread-tier unit)."""
+    def _solve_job(self, job: _Job) -> tuple:
+        """Solve one function in-process: (matches, stats, summary)."""
+        function = job.function
         faults.maybe_fire("worker.solve", function.name)
-        cache = self.detector.cache
+        cache = self._cache
         analyses = FunctionAnalyses(function)
         adopted = False
         if cache is not None:
             # Body-keyed summaries survive config changes: a re-solve
             # under new limits / idiom sets still skips re-deriving the
             # feasibility-signature inputs.
-            summary = cache.load_summary(
-                function, self._canonical.get(function.name))
-            if summary is not None:
-                analyses.adopt_summary(summary)
-                adopted = True
-        self.analyses[function.name] = analyses
-        matches, stats = self.detector.detect_function_with_stats(
-            function, analyses, deadline_s=self.policy.deadline_s)
-        # An adopted summary is already in the store — returning None
-        # keeps save() from recomputing (loop info) and rewriting it.
-        return (function.name, matches, stats,
-                None if adopted or cache is None else analyses.summary())
-
-    def _batches(self, functions: list[Function]) -> list[list[Function]]:
-        size = self.batch_size
-        if size is None:
-            # Small batches load-balance; at least one per worker.
-            size = max(1, -(-len(functions) // (self.workers * 4)))
-        return [functions[i:i + size]
-                for i in range(0, len(functions), size)]
-
-    def _solve_job(self, job: _Job, epoch: int = 0) -> tuple:
-        """Solve one cross-module job in-process (detect_many's
-        serial/thread-tier unit; rows are keyed by uid, not name)."""
-        function = job.function
-        faults.maybe_fire("worker.solve", function.name)
-        cache = self.detector.cache
-        analyses = FunctionAnalyses(function)
-        adopted = False
-        if cache is not None:
             summary = cache.load_summary(function, job.text)
             if summary is not None:
                 analyses.adopt_summary(summary)
@@ -504,269 +365,79 @@ class DetectionSession:
         self.analyses[job.uid] = analyses
         matches, stats = self.detector.detect_function_with_stats(
             function, analyses, deadline_s=self.policy.deadline_s)
-        return (job.uid, matches, stats,
+        self._collect_fired(job.index)
+        # An adopted summary is already in the store — returning None
+        # keeps save() from recomputing (loop info) and rewriting it.
+        return (matches, stats,
                 None if adopted or cache is None else analyses.summary())
 
-    def _job_batches(self, jobs: list[_Job]) -> list[list[_Job]]:
-        """detect_many's load-balancing split. Batches never mix modules
-        — the process tier ships one module's textual IR per batch."""
-        by_module: dict[int, list[_Job]] = {}
+    def _keep(self, job: _Job, row: tuple, results: dict) -> None:
+        """Take one solved row into the results and the store."""
+        matches, stats, summary = row
+        results[job.uid] = (matches, stats)
+        if self._cache is not None and not stats.timed_out:
+            self._cache.save(job.function, matches, stats, summary,
+                             job.globals_sig, text=job.text)
+            self._collect_fired(job.index)
+
+    def _replay(self, jobs: list[_Job], payload: dict | None,
+                results: dict, status: str) -> list[_Job]:
+        """Serve deduped jobs from an encoded payload; returns the jobs
+        it could not serve (missing or undecodable payload)."""
+        from ..cache.detection import decode_detection
+
+        unserved = []
         for job in jobs:
-            by_module.setdefault(job.index, []).append(job)
-        size = self.batch_size
-        if size is None:
-            size = max(1, -(-len(jobs) // (self.workers * 4)))
-        batches: list[list[_Job]] = []
-        for group in by_module.values():
-            batches.extend(group[i:i + size]
-                           for i in range(0, len(group), size))
-        return batches
-
-    def _job_callbacks(self, jobs: list[_Job]) -> dict:
-        """Process-tier callbacks for a cross-module fan-out: each batch
-        ships its own module's wire text plus the jobs' uids, which the
-        worker echoes back so rows decode against the right module even
-        when tenants' function names collide."""
-        detector = self.detector
-        texts: dict[int, str] = {}
-        for job in jobs:
-            if job.index not in texts:
-                texts[job.index] = print_module(job.module)
-        by_uid = {job.uid: job for job in jobs}
-        config = (tuple(detector.idioms),
-                  detector.limits.max_solutions, detector.limits.max_steps,
-                  detector.ordering, detector.memo, detector.indexed)
-        deadline_s = self.policy.deadline_s
-        plan = faults.active_plan()
-        plan_spec = plan.as_spec() if plan is not None else None
-
-        def process_pool(workers: int, epoch: int):
-            return ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init,
-                initargs=(plan_spec, epoch))
-
-        def process_submit(pool, batch, epoch):
-            tags = [job.uid for job in batch]
-            inner = (texts[batch[0].index],
-                     [job.function.name for job in batch],
-                     config, deadline_s)
-            return pool.submit(_process_batch_tagged, (tags, inner))
-
-        def process_decode(raw) -> list[tuple]:
-            rows = []
-            for uid, enc_matches, stats, summary in raw:
-                job = by_uid[uid]
-                matches = [
-                    IdiomMatch(idiom, job.function,
-                               decode_solution(enc_sol, job.function,
-                                               job.module),
-                               stats=match_stats)
-                    for idiom, enc_sol, match_stats in enc_matches]
-                rows.append((uid, matches, stats, summary))
-            return rows
-
-        return {"process_pool": process_pool,
-                "process_submit": process_submit,
-                "process_decode": process_decode}
-
-    def _record_outcomes(self, cold, solved, supervisor) -> None:
-        for function in cold:
-            fname = function.name
-            _, stats, _ = solved[fname]
-            meta = supervisor.meta.get(fname, {})
-            seen = tuple(meta.get("faults", ()))
-            # Completions plus failed attempts the supervisor charged to
-            # this function's batches.
-            attempts = max(1, meta.get("attempts", 0) + len(seen))
-            if getattr(stats, "timed_out", False):
-                status = "timed-out-partial"
-            elif meta.get("degraded"):
-                status = "degraded"
-            elif attempts > 1:
-                status = "retried"
+            entry = None
+            if payload is not None:
+                try:
+                    entry = decode_detection(payload, job.function,
+                                             job.module)
+                except (IDLError, KeyError, IndexError, TypeError,
+                        ValueError):
+                    entry = None
+            if entry is None:
+                unserved.append(job)
+                continue
+            results[job.uid] = (entry.matches, entry.stats)
+            if status == "inflight-hit":
+                self.inflight_hits += 1
             else:
-                status = "ok"
+                self.dedupe_hits += 1
             self.outcomes.record(FunctionOutcome(
-                fname, status, meta.get("tier") or "serial",
-                attempts=attempts, faults=seen))
+                job.uid, status, "dedupe", attempts=0))
+        return unserved
 
-    # -- process execution -------------------------------------------------------
-    def _process_callbacks(self, module: Module) -> dict:
-        """The pool-factory / submit / decode triple the supervisor's
-        process tier drives; closes over the module's wire form."""
-        detector = self.detector
-        ir_text = print_module(module)
-        config = (tuple(detector.idioms),
-                  detector.limits.max_solutions, detector.limits.max_steps,
-                  detector.ordering, detector.memo, detector.indexed)
-        deadline_s = self.policy.deadline_s
-        plan = faults.active_plan()
-        plan_spec = plan.as_spec() if plan is not None else None
+    # -- outcome bookkeeping ------------------------------------------------------
+    def _collect_fired(self, index: int) -> None:
+        """Attribute injected faults fired since the last call to module
+        ``index``. A session does its work in order in one thread, so the
+        firing order is the work order; a fault that another thread's
+        session fires meanwhile on the shared plan lands here too."""
+        plan = self._plan
+        if plan is not None and len(plan.fired) > self._fired_seen:
+            events = plan.fired[self._fired_seen:]
+            self._fired_seen += len(events)
+            self._fired.extend((index, event) for event in events)
 
-        def process_pool(workers: int, epoch: int):
-            return ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init,
-                initargs=(plan_spec, epoch))
-
-        def process_submit(pool, batch, epoch):
-            return pool.submit(
-                _process_batch,
-                (ir_text, [f.name for f in batch], config, deadline_s))
-
-        def process_decode(raw) -> list[tuple]:
-            rows = []
-            for fname, enc_matches, stats, summary in raw:
-                function = module.functions[fname]
-                matches = [
-                    IdiomMatch(idiom, function,
-                               decode_solution(enc_sol, function, module),
-                               stats=match_stats)
-                    for idiom, enc_sol, match_stats in enc_matches]
-                rows.append((fname, matches, stats, summary))
-            return rows
-
-        return {"process_pool": process_pool,
-                "process_submit": process_submit,
-                "process_decode": process_decode}
+    def _module_outcomes(self, jobs: list[_Job],
+                         index: int) -> SessionOutcomes:
+        """One module's own outcomes, under plain function names: its
+        functions' records, their handled faults and the injected faults
+        attributed to it — nothing from the other modules of the call."""
+        outcomes = SessionOutcomes()
+        for job in jobs:
+            record = self.outcomes.records[job.uid]
+            outcomes.record(FunctionOutcome(
+                job.function.name, record.status, record.tier,
+                record.attempts, record.faults))
+            outcomes.session_faults.extend(record.faults)
+        outcomes.session_faults.extend(
+            _describe(event) for owner, event in self._fired
+            if owner == index)
+        return outcomes
 
 
-# ---------------------------------------------------------------------------
-# Solution wire format (process mode)
-# ---------------------------------------------------------------------------
-# The printer/parser round-trip preserves structure, so (block index,
-# instruction index) identifies the same instruction in both copies.
-
-def encode_value(value, function: Function) -> tuple:
-    if isinstance(value, Instruction):
-        block = value.parent
-        return ("i", function.blocks.index(block),
-                block.instructions.index(value))
-    if isinstance(value, Argument):
-        return ("a", function.args.index(value))
-    if isinstance(value, GlobalVariable):
-        return ("g", value.name)
-    if isinstance(value, ConstantInt):
-        return ("ci", str(value.type), value.value)
-    if isinstance(value, ConstantFloat):
-        return ("cf", str(value.type), value.value)
-    raise IDLError(
-        f"cannot serialize solution value {value!r} for process-mode "
-        f"detection")
-
-
-def decode_value(token: tuple, function: Function, module: Module):
-    kind = token[0]
-    if kind == "i":
-        return function.blocks[token[1]].instructions[token[2]]
-    if kind == "a":
-        return function.args[token[1]]
-    if kind == "g":
-        return module.globals[token[1]]
-    if kind == "ci":
-        return ConstantInt(parse_type(token[1]), token[2])
-    if kind == "cf":
-        return ConstantFloat(parse_type(token[1]), token[2])
-    raise IDLError(f"unknown solution token {token!r}")
-
-
-def encode_solution(solution: dict, function: Function) -> list[tuple]:
-    return [(name, encode_value(value, function))
-            for name, value in solution.items()]
-
-
-def decode_solution(encoded: list[tuple], function: Function,
-                    module: Module) -> dict:
-    return {name: decode_value(token, function, module)
-            for name, token in encoded}
-
-
-# -- worker side --------------------------------------------------------------
-_WORKER_CACHE: dict = {}
-
-
-def _worker_init(plan_spec, epoch: int) -> None:
-    """Pool-worker initializer: arm fault injection inside the worker.
-
-    The parent's installed plan (if any) ships as its JSON spec with the
-    current retry epoch, so a respawned pool starts at the epoch the
-    supervisor reached — a crash spec scoped to epoch 0 does not re-fire
-    after the respawn. ``mark_worker`` lets ``crash`` faults genuinely
-    ``os._exit`` here (the parent observes ``BrokenProcessPool``)."""
-    faults.mark_worker(True)
-    if plan_spec is not None:
-        faults.install_plan(plan_spec, epoch=epoch)
-    faults.maybe_fire("worker.spawn")
-
-
-def _worker_detector(config: tuple):
-    from .detector import IdiomDetector
-
-    detector = _WORKER_CACHE.get(("detector", config))
-    if detector is None:
-        idioms, max_solutions, max_steps, ordering, memo, indexed = config
-        detector = IdiomDetector(
-            idioms=list(idioms),
-            limits=SolveLimits(max_solutions=max_solutions,
-                               max_steps=max_steps),
-            ordering=ordering, memo=memo, indexed=indexed)
-        _WORKER_CACHE[("detector", config)] = detector
-    return detector
-
-
-#: Parsed modules a pool worker keeps resident. One slot was enough when
-#: every session spanned one module; detect_many interleaves batches from
-#: several tenants' modules through one pool, and re-parsing on every
-#: module switch would forfeit the residency the service exists for.
-_WORKER_MODULES_MAX = 8
-
-
-def _worker_module(ir_text: str) -> tuple:
-    """(module, analyses dict) for one wire text, LRU-cached per worker."""
-    from ..ir.parser import parse_module
-
-    modules: dict[str, tuple] = _WORKER_CACHE.setdefault("modules", {})
-    entry = modules.get(ir_text)
-    if entry is None:
-        while len(modules) >= _WORKER_MODULES_MAX:
-            modules.pop(next(iter(modules)))
-        entry = modules[ir_text] = (parse_module(ir_text), {})
-    else:
-        modules[ir_text] = modules.pop(ir_text)  # refresh recency
-    return entry
-
-
-def _process_batch(payload: tuple) -> list[tuple]:
-    """Detect one batch of functions inside a worker process.
-
-    The worker also digests each function's analyses into a serializable
-    summary — the caller cannot (it never built analyses for functions it
-    shipped out), and the artifact cache persists the summary alongside
-    the matches."""
-    ir_text, fnames, config, deadline_s = payload
-    detector = _worker_detector(config)
-    module, analyses_cache = _worker_module(ir_text)
-    out = []
-    for fname in fnames:
-        faults.maybe_fire("worker.solve", fname)
-        function = module.functions[fname]
-        analyses = analyses_cache.get(fname)
-        if analyses is None:
-            analyses = analyses_cache[fname] = FunctionAnalyses(function)
-        matches, stats = detector.detect_function_with_stats(
-            function, analyses, deadline_s=deadline_s)
-        enc_matches = [
-            (m.idiom, encode_solution(m.solution, function), m.stats)
-            for m in matches]
-        out.append((fname, enc_matches, stats,
-                    analyses.summary().as_dict()))
-    return out
-
-
-def _process_batch_tagged(payload: tuple) -> list[tuple]:
-    """detect_many's process unit: :func:`_process_batch` with
-    caller-chosen row tags (module-qualified uids) echoed back in place
-    of function names, so one fan-out can span modules whose function
-    names collide."""
-    tags, inner = payload
-    rows = _process_batch(inner)
-    return [(tag,) + row[1:] for tag, row in zip(tags, rows)]
+def _describe(event: dict) -> str:
+    return ("fault injected at {site} (kind {kind}, occurrence "
+            "{occurrence}, epoch {epoch}, key {key!r})".format(**event))

@@ -142,9 +142,9 @@ class IdiomCompiler:
 
     def prepare(self, names: list[str] | None = None,
                 memo: bool = True, forest: bool = False) -> None:
-        """Eagerly compile lowered forms and plans (e.g. before fanning a
-        detection session out across worker threads — workers then only
-        read the caches). ``memo`` must match the configuration the
+        """Eagerly compile lowered forms and plans (e.g. before detection
+        sessions on several service threads share one detector — they
+        then only read the caches). ``memo`` must match the configuration the
         solves will use, or the warm-up fills the wrong cache keys;
         ``forest`` additionally builds the cross-idiom plan forest."""
         resolved = [name for name in

@@ -11,7 +11,6 @@ Seams instrumented across the codebase::
     store.read        ArtifactStore.get          (key = artifact key)
     store.write       ArtifactStore.put          (key = artifact key)
     worker.solve      per-function detection     (key = function name)
-    worker.spawn      process-pool worker init   (key = "")
     backend.dispatch  ApiRuntime.dispatch        (key = site callee)
     jit.compile       JIT specialization         (key = function name)
     service.admit     DetectionService.submit    (key = tenant)
@@ -24,13 +23,8 @@ Fault kinds:
 
 * ``exception`` — raise :class:`~repro.errors.InjectedFault`; the seam's
   supervisor must treat it like the real failure it stands in for.
-* ``crash`` — ``os._exit`` when running inside a pool worker process
-  (simulating a segfault: the parent observes ``BrokenProcessPool``);
-  degrades to ``exception`` in the main process, where dying would be
-  the one thing the reliability layer exists to prevent.
-* ``hang`` — sleep ``seconds`` (long enough to blow any configured
-  deadline), then continue normally; supervisors observe the overrun
-  out-of-band while the result stays correct.
+* ``hang`` — sleep ``seconds``, then continue normally: the seam is
+  slow but the result stays correct.
 * ``torn`` — returned to the seam as a directive rather than raised;
   only :meth:`ArtifactStore.put` consumes it, writing a truncated
   payload to the final path (simulating a non-atomic writer dying
@@ -42,12 +36,15 @@ hash over the occurrence counter so large sweeps can scatter faults
 without enumerating them. ``epochs`` scopes a spec to retry attempts —
 the supervisor bumps the epoch on every retry, so a spec active only at
 epoch 0 models a *transient* failure (the retry succeeds) while one
-active at every epoch models a persistent one (the ladder degrades).
+active at every epoch models a persistent one (retries run out and the
+failure propagates).
 
 Activation: :func:`install_plan` programmatically, or the
 ``REPRO_FAULT_PLAN`` environment variable (inline JSON, or ``@path`` to
-a JSON file) consulted once on first use — which is how pool worker
-processes and the experiment CLI pick plans up.
+a JSON file) consulted once on first use — which is how the experiment
+CLI and a daemon started in its own process pick plans up. A plan naming
+a seam or kind not listed here fails with
+:class:`~repro.errors.ReproError` when it is built, never silently.
 """
 
 from __future__ import annotations
@@ -64,12 +61,12 @@ from ..errors import InjectedFault, ReproError
 #: The seams maybe_fire accepts; a typo'd seam name in a plan would
 #: silently never fire, so both ends are validated against this set.
 SEAMS = frozenset({
-    "store.read", "store.write", "worker.solve", "worker.spawn",
+    "store.read", "store.write", "worker.solve",
     "backend.dispatch", "jit.compile",
     "service.admit", "service.batch", "daemon.conn",
 })
 
-KINDS = frozenset({"exception", "crash", "hang", "torn"})
+KINDS = frozenset({"exception", "hang", "torn"})
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,8 @@ class FaultPlan:
     """A seeded set of fault specs plus per-seam occurrence counters.
 
     Occurrence counters and the ``fired`` record are guarded by a lock:
-    seams fire from detection worker threads concurrently.
+    seams fire concurrently from the service's dispatcher and connection
+    threads.
     """
 
     def __init__(self, specs, seed: int = 0, epoch: int = 0):
@@ -128,7 +126,7 @@ class FaultPlan:
         self.fired: list[dict] = []
 
     def as_spec(self) -> dict:
-        """JSON-serializable form (ships to pool worker processes)."""
+        """JSON-serializable form (what :func:`plan_from_spec` reads)."""
         return {
             "seed": self.seed,
             "specs": [{
@@ -141,9 +139,8 @@ class FaultPlan:
     def fire(self, site: str, key: str = ""):
         """Advance the seam's occurrence counter and fire matching specs.
 
-        Raising kinds raise; ``torn`` (and ``crash`` outside a worker)
-        directives are returned for the seam to implement. Returns None
-        when nothing fires."""
+        Raising kinds raise; ``torn`` directives are returned for the
+        seam to implement. Returns None when nothing fires."""
         with self._lock:
             occurrence = self._counts.get(site, 0)
             self._counts[site] = occurrence + 1
@@ -163,12 +160,6 @@ def _execute(spec: FaultSpec, site: str, key: str, occurrence: int):
     if spec.kind == "hang":
         time.sleep(spec.seconds)
         return None
-    if spec.kind == "crash":
-        if _IN_WORKER:
-            os._exit(70)  # simulated segfault: parent sees a broken pool
-        raise InjectedFault(
-            f"injected crash at {site} (occurrence {occurrence}, "
-            f"key {key!r}; degraded to exception outside a worker)")
     if spec.kind == "torn":
         return spec  # seam-implemented (store.put tears the write)
     raise InjectedFault(
@@ -182,7 +173,6 @@ def _execute(spec: FaultSpec, site: str, key: str, occurrence: int):
 
 _ACTIVE: FaultPlan | None = None
 _ENV_CHECKED = False
-_IN_WORKER = False
 
 
 def plan_from_spec(spec) -> FaultPlan:
@@ -203,7 +193,7 @@ def plan_from_spec(spec) -> FaultPlan:
                      epoch=spec.get("epoch", 0))
 
 
-def install_plan(plan, epoch: int | None = None) -> FaultPlan | None:
+def install_plan(plan) -> FaultPlan | None:
     """Install (or with None, clear) the process-wide fault plan."""
     global _ACTIVE, _ENV_CHECKED
     _ENV_CHECKED = True
@@ -211,8 +201,6 @@ def install_plan(plan, epoch: int | None = None) -> FaultPlan | None:
         _ACTIVE = None
         return None
     plan = plan_from_spec(plan)
-    if epoch is not None:
-        plan.epoch = epoch
     _ACTIVE = plan
     return plan
 
@@ -235,9 +223,3 @@ def maybe_fire(site: str, key: str = ""):
         return None
     return plan.fire(site, key)
 
-
-def mark_worker(active: bool = True) -> None:
-    """Tell the injector it runs inside a pool worker process, where a
-    ``crash`` fault may genuinely kill the process."""
-    global _IN_WORKER
-    _IN_WORKER = active

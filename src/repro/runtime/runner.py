@@ -103,8 +103,7 @@ class ExecutionResult:
         return sequential_time_seconds(self.opcode_counts)
 
 
-def compile_workload(name: str, source: str, workers: int = 1,
-                     detect_mode: str = "thread",
+def compile_workload(name: str, source: str,
                      ordering: str = "forest",
                      verify: bool = True,
                      cache_dir=None,
@@ -112,10 +111,9 @@ def compile_workload(name: str, source: str, workers: int = 1,
                      max_retries: int = 2) -> CompiledWorkload:
     """Compile and detect, recording wall-clock for Table 2.
 
-    ``workers``/``detect_mode`` configure the detection session's worker
-    pool and ``ordering`` the solve configuration (cross-idiom plan
+    ``ordering`` selects the solve configuration (cross-idiom plan
     forest by default); the report is identical regardless
-    (deterministic merge, bit-identical match sets). ``verify=False``
+    (bit-identical match sets). ``verify=False``
     skips post-convergence IR verification — the experiment harness's
     hot path; tests keep it on. ``cache_dir`` (a directory path, or a shared
     :class:`~repro.cache.ArtifactStore` for aggregate telemetry) enables
@@ -124,7 +122,7 @@ def compile_workload(name: str, source: str, workers: int = 1,
     ``deadline_s``/``max_retries`` configure detection supervision: a
     per-function solve wall-clock bound (overruns become partial
     results, flagged in ``report.outcomes``) and the retry budget for
-    transient worker failures.
+    transient failures.
     """
     import time
 
@@ -133,8 +131,7 @@ def compile_workload(name: str, source: str, workers: int = 1,
     optimize(module, verify=verify)
     t1 = time.perf_counter()
     report = IdiomDetector(ordering=ordering, cache=cache_dir) \
-        .detect(module, workers=workers, mode=detect_mode,
-                deadline_s=deadline_s, max_retries=max_retries)
+        .detect(module, deadline_s=deadline_s, max_retries=max_retries)
     t2 = time.perf_counter()
     return CompiledWorkload(name, module, report,
                             compile_seconds=t1 - t0,

@@ -127,8 +127,8 @@ class DeadlineExpired(ServiceError):
 class ServiceConfig:
     """Every knob of a resident detection service, in one place.
 
-    ``workers``/``mode``/``deadline_s``/``max_retries`` configure each
-    batch's :class:`~repro.idioms.scheduler.DetectionSession`;
+    ``deadline_s``/``max_retries`` configure each batch's
+    :class:`~repro.idioms.scheduler.DetectionSession`;
     ``ordering`` the resident detector; ``cache_dir``/``budget_bytes``/
     ``eviction``/``durable`` the shared artifact store;
     ``batch_window_s``/``max_batch``/``dispatchers`` the micro-batcher;
@@ -136,8 +136,6 @@ class ServiceConfig:
     fairness.
     """
 
-    workers: int = 1
-    mode: str = "thread"
     ordering: str = "forest"
     cache_dir: str | None = None
     budget_bytes: int | None = None
@@ -173,8 +171,6 @@ class ServiceConfig:
     profile: object | None = None
 
     def __post_init__(self):
-        if self.mode not in ("thread", "process"):
-            raise IDLError(f"unknown detection mode {self.mode!r}")
         if self.eviction not in EVICTION_POLICIES:
             raise IDLError(f"unknown eviction policy {self.eviction!r}")
         if self.max_batch < 1:
@@ -774,9 +770,7 @@ class DetectionService:
                     index_of[id(request.module)] = len(unique)
                     unique.append(request.module)
             session = DetectionSession(
-                self.detector, workers=self.config.workers,
-                mode=self.config.mode,
-                deadline_s=self.config.deadline_s,
+                self.detector, deadline_s=self.config.deadline_s,
                 max_retries=self.config.max_retries)
             if budget is not None:
                 session.policy = session.policy.tightened(budget)

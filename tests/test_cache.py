@@ -361,18 +361,6 @@ class TestDetectionCache:
         assert all(m.function is module.functions[m.function.name]
                    for m in warm.matches)
 
-    @pytest.mark.parametrize("workers,mode",
-                             [(2, "thread"), (2, "process")])
-    def test_warm_through_worker_pools(self, tmp_path, workers, mode):
-        module = compiled()
-        cold = IdiomDetector().detect(module)
-        det = IdiomDetector(cache=str(tmp_path))
-        DetectionSession(det, workers=workers, mode=mode).detect(module)
-        session = DetectionSession(det, workers=workers, mode=mode)
-        warm = session.detect(module)
-        assert session.cache_misses == 0
-        assert warm_fp(warm) == warm_fp(cold)
-
     def test_editing_one_function_resolves_only_it(self, tmp_path):
         module = compiled()
         det = IdiomDetector(cache=str(tmp_path))
@@ -565,7 +553,7 @@ class TestDetectionCache:
 
 class TestRunnerAndBench:
     def test_compile_workload_cache_dir(self, tmp_path):
-        from repro.idioms.scheduler import encode_solution
+        from repro.cache.detection import encode_solution
         from repro.runtime.runner import compile_workload
 
         def wire_fp(report):

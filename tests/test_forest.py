@@ -30,7 +30,12 @@ from repro.idl.plan import guaranteed_binds
 from repro.passes import optimize
 from repro.workloads import all_workloads
 
-from test_plan_scheduler import SNIPPETS, compiled, report_fingerprint
+from test_plan_scheduler import (
+    SNIPPETS,
+    compiled,
+    concurrent_detect,
+    report_fingerprint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,25 +82,15 @@ class TestForestEquivalence:
     @pytest.mark.parametrize("name", ["CG", "MG", "lbm"])
     def test_forest_worker_counts_identical(self, name, suite_modules,
                                             detectors):
-        """Thread pools change neither matches nor the pass-level stats
-        (deterministic merge in module order)."""
+        """Three sessions sharing one forest detector at once (the
+        service's dispatchers) change neither matches nor the pass-level
+        stats of a lone session's report."""
         forest, _ = detectors
         module = suite_modules[name]
-        reports = [DetectionSession(forest, workers=n).detect(module)
-                   for n in (1, 3)]
-        assert report_fingerprint(reports[0]) == report_fingerprint(
-            reports[1])
-        assert reports[0].stats == reports[1].stats
-
-    def test_forest_process_mode_identical(self, suite_modules, detectors):
-        forest, _ = detectors
-        module = suite_modules["histo"]
-        serial = DetectionSession(forest).detect(module)
-        process = DetectionSession(forest, workers=2,
-                                   mode="process").detect(module)
-        assert report_fingerprint(process, by_identity=False) == \
-            report_fingerprint(serial, by_identity=False)
-        assert process.stats == serial.stats
+        [alone] = concurrent_detect(forest, module, 1)
+        for report in concurrent_detect(forest, module, 3):
+            assert report_fingerprint(report) == report_fingerprint(alone)
+            assert report.stats == alone.stats
 
     def test_forest_respects_max_solutions_like_plan(self):
         """The per-idiom solution cap truncates the same enumeration in

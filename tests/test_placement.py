@@ -55,7 +55,7 @@ class TestDescriptorImmutability:
         assert len({d, API_DESCRIPTORS["MKL"], API_DESCRIPTORS["MKL"]}) == 2
 
     def test_descriptor_pickles(self):
-        """Safe to ship to process-pool detection workers."""
+        """Safe to pickle: hashable, immutable, round-trips equal."""
         d = API_DESCRIPTORS["cuSPARSE"]
         clone = pickle.loads(pickle.dumps(d))
         assert clone == d

@@ -1,5 +1,8 @@
 """Tests for compiled execution plans, SolverStats/SolveLimits threading,
-and the parallel DetectionSession (plan → execute → schedule stack)."""
+and the DetectionSession (plan → execute → schedule stack), including
+concurrent sessions over one shared detector."""
+
+import threading
 
 import pytest
 
@@ -86,6 +89,28 @@ def solution_keys(solutions):
 
 # The shared bit-identity digest (re-exported for test_forest's import).
 from repro.idioms import report_fingerprint  # noqa: E402
+
+
+def concurrent_detect(detector, module, sessions):
+    """``sessions`` DetectionSessions detecting ``module`` at once, one
+    thread each, over one shared warmed detector — the way the service's
+    dispatchers run concurrent batches. Reports in session order."""
+    detector.warmup()
+    barrier = threading.Barrier(sessions)
+    reports = [None] * sessions
+
+    def run(index):
+        barrier.wait()
+        reports[index] = DetectionSession(detector).detect(module)
+
+    threads = [threading.Thread(target=run, args=(index,))
+               for index in range(sessions)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    return reports
 
 
 @pytest.fixture(scope="module")
@@ -259,59 +284,58 @@ class TestDetectionSession:
     @pytest.mark.parametrize(
         "name", [w.name for w in all_workloads()])
     def test_parallel_equals_sequential(self, name, suite_modules):
-        """A thread-pool session yields the identical DetectionReport
-        (same matches, same deterministic merge order) on every NAS +
-        Parboil workload."""
+        """Two sessions detecting one module at once on threads, over
+        one shared detector, each yield the identical DetectionReport
+        (same matches, same merge order, same stats) as a lone session,
+        on every NAS + Parboil workload."""
         module = suite_modules[name]
         detector = IdiomDetector()
         sequential = DetectionSession(detector).detect(module)
-        parallel = DetectionSession(detector, workers=4).detect(module)
-        assert report_fingerprint(parallel) == \
-            report_fingerprint(sequential)
-        assert parallel.stats == sequential.stats
+        for parallel in concurrent_detect(detector, module, 2):
+            assert report_fingerprint(parallel) == \
+                report_fingerprint(sequential)
+            assert parallel.stats == sequential.stats
 
     def test_worker_counts_do_not_change_order(self, suite_modules):
+        """1, 2 or 5 concurrent sessions (service dispatchers) on one
+        detector: every report has the same matches in the same order."""
         module = suite_modules["CG"]
         detector = IdiomDetector()
-        reports = [DetectionSession(detector, workers=n).detect(module)
-                   for n in (1, 2, 5)]
-        fingerprints = [report_fingerprint(r) for r in reports]
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+        fingerprints = [report_fingerprint(report)
+                        for n in (1, 2, 5)
+                        for report in concurrent_detect(detector, module, n)]
+        assert len(fingerprints) == 8
+        assert all(fp == fingerprints[0] for fp in fingerprints)
 
-    def test_process_mode_equals_sequential(self, suite_modules):
-        """Process workers detect on a textual IR round-trip; decoded
-        matches reference the parent module's IR objects."""
-        module = suite_modules["histo"]
-        detector = IdiomDetector()
-        sequential = DetectionSession(detector).detect(module)
-        parallel = DetectionSession(detector, workers=2,
-                                    mode="process").detect(module)
-        # Instructions decode to the parent's objects (identity);
-        # constants are recreated, so compare them structurally.
-        assert report_fingerprint(parallel, by_identity=False) == \
-            report_fingerprint(sequential, by_identity=False)
-        for match in parallel.matches:
-            assert match.function is module.functions[match.function.name]
+    def test_detect_prints_canonical_text_only_when_needed(self,
+                                                           monkeypatch):
+        """With no store and no dedupe, detect() prints no canonical IR
+        and computes no fingerprint; detect_many's dedupe needs both."""
+        import repro.cache.fingerprint as fingerprint
+        import repro.ir.printer as printer
 
-    def test_process_mode_rejects_custom_compilers(self):
-        """A custom compiler with mode='process' fails at session
-        construction — before any work, even at workers=1 (where the old
-        lazy check never fired and the standard library was silently
-        assumed)."""
-        idl = IdiomCompiler()
-        load_library(idl)
-        detector = IdiomDetector(compiler=idl)
-        for workers in (1, 2):
-            with pytest.raises(IDLError, match="process-mode"):
-                DetectionSession(detector, workers=workers, mode="process")
+        calls = {"print": 0, "fingerprint": 0}
+        real_print = printer.print_function_canonical
+        real_fingerprint = fingerprint.function_fingerprint
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(IDLError, match="unknown detection mode"):
-            DetectionSession(IdiomDetector(), workers=2, mode="fibers")
+        def counting_print(function):
+            calls["print"] += 1
+            return real_print(function)
 
-    def test_detect_idioms_worker_passthrough(self):
-        from repro.idioms import detect_idioms
+        def counting_fingerprint(*args, **kwargs):
+            calls["fingerprint"] += 1
+            return real_fingerprint(*args, **kwargs)
 
-        module = compiled(SNIPPETS["reduction"])
-        assert detect_idioms(module, workers=2).by_idiom() == \
-            detect_idioms(module).by_idiom()
+        monkeypatch.setattr(printer, "print_function_canonical",
+                            counting_print)
+        monkeypatch.setattr(fingerprint, "function_fingerprint",
+                            counting_fingerprint)
+        module = compiled(SNIPPETS["reduction"] + SNIPPETS["histogram"]
+                          .replace("void f(", "void g("))
+        session = DetectionSession(IdiomDetector())
+        report = session.detect(module)
+        assert report.by_idiom() == {"Reduction": 1, "Histogram": 1}
+        assert calls == {"print": 0, "fingerprint": 0}
+        session.detect_many([module])
+        assert calls == {"print": 2, "fingerprint": 2}
+

@@ -1,11 +1,12 @@
 """Tests for the reliability layer: deterministic fault injection,
-supervised detection sessions (retry, degradation, deadlines, crash
-respawn), crash-safe concurrent cache writes, backend quarantine with
+supervised detection sessions (retry, deadlines, supervised fallback
+solves), crash-safe concurrent cache writes, backend quarantine with
 guaranteed fallback, and the JIT tier's fault containment."""
 
 import json
 import multiprocessing
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from repro.backends.registry import default_registry
 from repro.cache import ArtifactStore
 from repro.errors import InjectedFault, ReproError, SolveTimeout
 from repro.frontend import compile_c
-from repro.idioms import DetectionSession, IdiomDetector, report_fingerprint
+from repro.idioms import (
+    DetectionSession,
+    IdiomDetector,
+    InflightLedger,
+    report_fingerprint,
+)
 from repro.idl.solver import SolverStats
 from repro.passes import optimize
 from repro.reliability import faults
@@ -82,12 +88,17 @@ def fingerprint(report):
 
 class TestFaultPlan:
     def test_unknown_seam_rejected(self):
-        with pytest.raises(ReproError):
-            FaultSpec(site="store.readd", kind="exception")
+        # "worker.spawn" was the process-pool initializer's seam; a stale
+        # plan naming it must fail loudly, not silently never fire.
+        for site in ("store.readd", "worker.spawn"):
+            with pytest.raises(ReproError):
+                FaultSpec(site=site, kind="exception")
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ReproError):
-            FaultSpec(site="store.read", kind="explode")
+        # "crash" killed a pool worker process; likewise stale now.
+        for kind in ("explode", "crash"):
+            with pytest.raises(ReproError):
+                FaultSpec(site="store.read", kind=kind)
 
     def test_occurrence_addressing(self):
         plan = FaultPlan([{"site": "worker.solve", "kind": "exception",
@@ -158,13 +169,6 @@ class TestFaultPlan:
         assert plan.fire("worker.solve") is None
         assert plan.fired[0]["kind"] == "hang"
 
-    def test_crash_degrades_to_exception_outside_worker(self):
-        faults.mark_worker(False)
-        plan = FaultPlan([{"site": "worker.solve", "kind": "crash",
-                           "at": [0]}])
-        with pytest.raises(InjectedFault, match="crash"):
-            plan.fire("worker.solve")
-
     def test_spec_roundtrip(self, tmp_path):
         plan = FaultPlan([FaultSpec("store.read", "exception", at=(2,),
                                     key="ab", epochs=(0, 1))], seed=9)
@@ -192,7 +196,7 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Supervisor ladder
+# Supervisor
 # ---------------------------------------------------------------------------
 
 class Fn:
@@ -200,86 +204,61 @@ class Fn:
         self.name = name
 
 
-def batch_all(functions):
-    return [list(functions)]
-
-
 class TestSupervisor:
     def test_serial_retries_transient(self):
         calls = {"n": 0}
 
-        def solve_one(function, epoch=0):
+        def solve_one(function):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise InjectedFault("flaky")
             return (function.name, "row")
 
         outcomes = SessionOutcomes()
-        sup = Supervisor(RetryPolicy(backoff_s=0.0), outcomes,
-                         mode="serial")
-        rows = sup.run([Fn("f")], solve_one, batch_all)
+        sup = Supervisor(RetryPolicy(backoff_s=0.0), outcomes)
+        rows = sup.run([Fn("f")], solve_one)
         assert rows["f"] == ("f", "row")
         assert calls["n"] == 2
         assert sup.meta["f"]["faults"] == ["flaky"]
         assert outcomes.session_faults == ["flaky"]
 
     def test_serial_exhaustion_reraises(self):
-        def solve_one(function, epoch=0):
+        def solve_one(function):
             raise InjectedFault("always")
 
         sup = Supervisor(RetryPolicy(max_retries=1, backoff_s=0.0),
-                         SessionOutcomes(), mode="serial")
+                         SessionOutcomes())
         with pytest.raises(InjectedFault):
-            sup.run([Fn("f")], solve_one, batch_all)
+            sup.run([Fn("f")], solve_one)
 
     def test_deterministic_error_propagates_unretried(self):
         calls = {"n": 0}
 
-        def solve_one(function, epoch=0):
+        def solve_one(function):
             calls["n"] += 1
             raise ValueError("workload bug")
 
-        sup = Supervisor(RetryPolicy(backoff_s=0.0), SessionOutcomes(),
-                         mode="serial")
+        sup = Supervisor(RetryPolicy(backoff_s=0.0), SessionOutcomes())
         with pytest.raises(ValueError):
-            sup.run([Fn("f")], solve_one, batch_all)
+            sup.run([Fn("f")], solve_one)
         assert calls["n"] == 1
 
-    def test_thread_tier_degrades_to_serial(self):
-        def solve_one(function, epoch=0):
-            # Fails through every thread-tier attempt (epochs 0..2 with
-            # max_retries=2); the serial tier's epoch-3 call succeeds.
-            if epoch < 3:
-                raise InjectedFault(f"epoch {epoch}")
-            return (function.name, "row")
-
-        outcomes = SessionOutcomes()
-        sup = Supervisor(RetryPolicy(max_retries=2, backoff_s=0.0),
-                         outcomes, mode="thread", workers=2)
-        rows = sup.run([Fn("f"), Fn("g")], solve_one, batch_all)
-        assert set(rows) == {"f", "g"}
-        assert sup.meta["f"]["tier"] == "serial"
-        assert sup.meta["f"]["degraded"] is True
-        assert len(outcomes.session_faults) >= 3
-
     def test_interrupt_propagates(self):
-        def solve_one(function, epoch=0):
+        calls = {"n": 0}
+
+        def solve_one(function):
+            calls["n"] += 1
             raise KeyboardInterrupt()
 
-        sup = Supervisor(RetryPolicy(backoff_s=0.0), SessionOutcomes(),
-                         mode="thread", workers=2)
+        sup = Supervisor(RetryPolicy(backoff_s=0.0), SessionOutcomes())
         with pytest.raises(KeyboardInterrupt):
-            sup.run([Fn("f")], solve_one, batch_all)
-
-    def test_batch_timeout_scales_with_size(self):
-        policy = RetryPolicy(deadline_s=2.0, grace_s=1.0)
-        assert policy.batch_timeout(3) == pytest.approx(7.0)
-        assert RetryPolicy().batch_timeout(3) is None
+            sup.run([Fn("f"), Fn("g")], solve_one)
+        assert calls["n"] == 1  # never retried, never moves on
 
     def test_outcome_bookkeeping(self):
         outcomes = SessionOutcomes()
-        outcomes.record(FunctionOutcome("f", "ok", "thread"))
-        outcomes.record(FunctionOutcome("g", "retried", "thread",
+        outcomes.record(FunctionOutcome("f", "ok", "serial"))
+        outcomes.record(FunctionOutcome("g", "retried", "serial",
                                         attempts=2, faults=("boom",)))
         assert outcomes.counts() == {"ok": 1, "retried": 1}
         assert [o.function for o in outcomes.ordered(["g", "f"])] == \
@@ -293,53 +272,45 @@ class TestSupervisor:
 # Supervised detection sessions
 # ---------------------------------------------------------------------------
 
-class TestSessionReliability:
-    def test_thread_fault_retried_report_identical(self):
-        module = compiled()
-        baseline = fingerprint(IdiomDetector().detect(module))
-        faults.install_plan({"specs": [{"site": "worker.solve",
-                                        "kind": "exception", "at": [0],
-                                        "epochs": [0]}]})
-        session = DetectionSession(IdiomDetector(), workers=2,
-                                   mode="thread")
-        report = session.detect(module)
-        assert fingerprint(report) == baseline
-        assert report.outcomes is session.outcomes
-        counts = session.outcomes.counts()
-        assert counts.get("retried", 0) >= 1
-        assert session.outcomes.session_faults  # the handled injection
+class _PublishedNone(InflightLedger):
+    """A ledger on which every key is already claimed by an owner that
+    published None (its result could not be replayed)."""
 
+    def claim(self, key):
+        future = Future()
+        future.set_result(None)
+        return False, future
+
+
+class TestSessionReliability:
     def test_serial_fault_retried_report_identical(self):
         module = compiled()
         baseline = fingerprint(IdiomDetector().detect(module))
         faults.install_plan({"specs": [{"site": "worker.solve",
                                         "kind": "exception", "at": [0],
                                         "epochs": [0]}]})
-        report = DetectionSession(IdiomDetector()).detect(module)
+        session = DetectionSession(IdiomDetector())
+        report = session.detect(module)
         assert fingerprint(report) == baseline
+        assert report.outcomes is session.outcomes
+        assert report.outcomes.records["dot"].status == "retried"
+        assert report.outcomes.records["dot"].attempts == 2
+        # The retried failure and the injector's own record of it.
+        assert len(report.outcomes.session_faults) == 2
 
-    def test_process_worker_crash_respawned(self):
+    def test_unserved_replay_falls_back_to_supervised_solve(self):
         module = compiled()
         baseline = fingerprint(IdiomDetector().detect(module))
         faults.install_plan({"specs": [{"site": "worker.solve",
-                                        "kind": "crash", "at": [0],
-                                        "epochs": [0]}]})
-        session = DetectionSession(IdiomDetector(), workers=2,
-                                   mode="process")
-        report = session.detect(module)
-        assert fingerprint(report) == baseline
-        assert any("respawned" in note or "died" in note
-                   for note in session.outcomes.session_faults)
-
-    def test_poisoned_spawn_recovered(self):
-        module = compiled()
-        baseline = fingerprint(IdiomDetector().detect(module))
-        faults.install_plan({"specs": [{"site": "worker.spawn",
                                         "kind": "exception", "at": [0],
                                         "epochs": [0]}]})
-        session = DetectionSession(IdiomDetector(), workers=2,
-                                   mode="process")
-        assert fingerprint(session.detect(module)) == baseline
+        session = DetectionSession(IdiomDetector(), backoff_s=0.0)
+        [report] = session.detect_many([module],
+                                       inflight=_PublishedNone())
+        assert fingerprint(report) == baseline
+        assert report.outcomes.records["dot"].status == "retried"
+        assert session.solved_functions == 3
+        assert session.inflight_hits == 0
 
     def test_all_ok_outcomes_on_clean_run(self):
         module = compiled()

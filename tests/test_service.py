@@ -1,8 +1,8 @@
 """Tests for the serving layer: the LRU/generational byte-budgeted
 store, the latency helpers, warm-detector residency, cross-module
 ``detect_many`` with in-flight dedupe, the in-process
-:class:`DetectionService` (micro-batching, concurrent tenants), the TCP
-daemon and its wire format, and the ``$REPRO_WORKERS`` harness default."""
+:class:`DetectionService` (micro-batching, concurrent tenants), and the
+TCP daemon and its wire format."""
 
 import json
 import os
@@ -47,6 +47,15 @@ void hist(int* bins, int* keys, int n) {
 """
 #: The same module with one function edited (the per-tenant-edit shape).
 SRC_EDITED = SRC.replace("0.0", "1.0")
+#: Another tenant's module, sharing no function with SRC.
+SRC_OTHER = """
+void count_keys(int* counts, int* keys, int n) {
+  for (int i = 0; i < n; i++) { counts[keys[i]] = counts[keys[i]] + 2; }
+}
+void scale(double* a, double k, int n) {
+  for (int i = 0; i < n; i++) { a[i] = a[i] * k; }
+}
+"""
 
 
 def compiled(src=SRC, name="t"):
@@ -215,16 +224,13 @@ class TestResidency:
 # ---------------------------------------------------------------------------
 
 class TestDetectMany:
-    @pytest.mark.parametrize("workers,mode",
-                             [(1, "thread"), (2, "thread"), (2, "process")])
-    def test_identical_to_per_module_detect(self, workers, mode):
+    def test_identical_to_per_module_detect(self):
         modules = [compiled(name="a"), compiled(name="b"),
                    compiled(SRC_EDITED, name="c")]
         direct = [detect_idioms(compiled(src, name))
                   for src, name in ((SRC, "a"), (SRC, "b"),
                                     (SRC_EDITED, "c"))]
-        session = DetectionSession(IdiomDetector(), workers=workers,
-                                   mode=mode)
+        session = DetectionSession(IdiomDetector())
         reports = session.detect_many(modules)
         assert len(reports) == 3
         for got, want in zip(reports, direct):
@@ -351,6 +357,23 @@ class TestDetectionService:
         assert stats["dedupe_ratio"] > 0.5
         assert stats["errors"] == 0
         assert stats["latency"]["count"] == 5
+
+    def test_co_batched_tenants_get_only_their_own_outcomes(self):
+        alice_text = module_text(name="alice")
+        bob_text = module_text(SRC_OTHER, name="bob")
+        config = ServiceConfig(batch_window_s=0.25)
+        with DetectionService(config) as service:
+            alice = service.submit(alice_text, tenant="alice")
+            bob = service.submit(bob_text, tenant="bob")
+            results = {"alice": alice.result(timeout=120),
+                       "bob": bob.result(timeout=120)}
+            assert service.stats()["batches"] == 1
+        for tenant, names in (("alice", ["dot", "hist"]),
+                              ("bob", ["count_keys", "scale"])):
+            outcomes = encode_report(results[tenant].report)["outcomes"]
+            assert [o["function"] for o in outcomes["functions"]] == names
+            assert outcomes["counts"] == {"ok": 2}
+            assert outcomes["session_faults"] == []
 
     def test_sequential_requests_separate_batches(self):
         text = module_text()
@@ -481,20 +504,3 @@ class TestDaemon:
             daemon.server_close()
             daemon.service.close()
 
-
-# ---------------------------------------------------------------------------
-# Harness env defaults
-# ---------------------------------------------------------------------------
-
-class TestWorkersDefault:
-    def test_repro_workers_env(self, monkeypatch):
-        from repro.experiments.harness import default_workers
-
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert default_workers() == 1
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        assert default_workers() == 1
-        monkeypatch.setenv("REPRO_WORKERS", "zebra")
-        assert default_workers() == 1
